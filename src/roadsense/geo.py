@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ValidationError
 
 EARTH_RADIUS_M = 6_371_000.0
+_SNAP_BLOCK_ELEMS = 1 << 20  # values per fixes x segments temporary in snap_many
 
 
 def haversine(p1: tuple[float, float], p2: tuple[float, float]) -> float:
@@ -105,7 +106,12 @@ class Polyline:
         )
 
     def snap_many(self, points: Sequence[tuple[float, float]]) -> list[SnapResult]:
-        """Snap each (lat, lon) point to the nearest location on the line."""
+        """Snap each (lat, lon) point to the nearest location on the line.
+
+        Points are processed in row blocks so that each fixes x segments
+        temporary stays near _SNAP_BLOCK_ELEMS values; rows are independent,
+        so the blocking changes no result.
+        """
         if len(points) == 0:
             return []
         plat = np.radians(np.asarray([p[0] for p in points]))[:, None]
@@ -123,29 +129,31 @@ class Polyline:
         ay = alat * EARTH_RADIUS_M
         bx = (blon * coslat) * EARTH_RADIUS_M
         by = blat * EARTH_RADIUS_M
-        px = (plon * coslat) * EARTH_RADIUS_M
-        py = plat * EARTH_RADIUS_M
-
         dx, dy = bx - ax, by - ay
         seg_sq = dx * dx + dy * dy
-        w = ((px - ax) * dx + (py - ay) * dy) / seg_sq
-        w = np.clip(w, 0.0, 1.0)
-        cx = ax + w * dx
-        cy = ay + w * dy
-        dist = np.hypot(px - cx, py - cy)
-
-        best = np.argmin(dist, axis=1)  # first minimum -> lowest segment index
-        rows = np.arange(len(points))
         seg_span = self.chainage[1:] - self.chainage[:-1]
-        chain = self.chainage[best] + w[rows, best] * seg_span[best]
-        return [
-            SnapResult(
-                chainage_m=float(chain[i]),
-                cross_track_m=float(dist[i, best[i]]),
-                segment_index=int(best[i]),
+
+        step = max(1, _SNAP_BLOCK_ELEMS // seg_sq.size)
+        out = []
+        for r0 in range(0, len(points), step):
+            px = (plon[r0 : r0 + step] * coslat) * EARTH_RADIUS_M
+            py = plat[r0 : r0 + step] * EARTH_RADIUS_M
+            w = ((px - ax) * dx + (py - ay) * dy) / seg_sq
+            w = np.clip(w, 0.0, 1.0)
+            cx = ax + w * dx
+            cy = ay + w * dy
+            dist = np.hypot(px - cx, py - cy)
+
+            best = np.argmin(dist, axis=1)  # first minimum -> lowest segment index
+            rows = np.arange(best.size)
+            chain = self.chainage[best] + w[rows, best] * seg_span[best]
+            out.extend(
+                SnapResult(chainage_m=c, cross_track_m=d, segment_index=k)
+                for c, d, k in zip(
+                    chain.tolist(), dist[rows, best].tolist(), best.tolist()
+                )
             )
-            for i in range(len(points))
-        ]
+        return out
 
 
 def snap_to_polyline(p: tuple[float, float], line: Polyline) -> SnapResult:
@@ -164,8 +172,12 @@ def trace_accuracy(fixes, line: Polyline) -> GpsAccuracySummary:
     nearest-rank 95th percentile)."""
     if len(fixes) == 0:
         raise ValueError("trace_accuracy needs at least one fix")
-    points = [(f.lat, f.lon) for f in fixes]
-    cross = np.asarray([s.cross_track_m for s in line.snap_many(points)])
+    return accuracy_summary(line.snap_many([(f.lat, f.lon) for f in fixes]))
+
+
+def accuracy_summary(snaps: Sequence[SnapResult]) -> GpsAccuracySummary:
+    """Cross-track mean and nearest-rank 95th percentile of nonempty snaps."""
+    cross = np.asarray([s.cross_track_m for s in snaps])
     rank = max(1, math.ceil(0.95 * cross.size))  # nearest-rank percentile
     p95 = float(np.sort(cross)[rank - 1])
     return GpsAccuracySummary(

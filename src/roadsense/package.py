@@ -159,17 +159,30 @@ def validate_package(package_dir: str | os.PathLike) -> ValidationReport:
     The package is valid iff all checks pass. An unreadable directory
     raises OSError; a corrupt manifest is reported, not raised.
     """
+    return load_package(package_dir)[0]
+
+
+def load_package(package_dir: str | os.PathLike):
+    """Validate a package and read it in the same pass.
+
+    Returns ``(report, manifest, streams)``: the validate_package report,
+    the parsed manifest (None when unreadable) and the decoded
+    ``(samples, gps, frames)`` (None unless every stream file exists and
+    decodes). Each stream is decoded once.
+    """
     package_dir = Path(package_dir)
     if not package_dir.is_dir():
         raise FileNotFoundError(f"package directory does not exist: {package_dir}")
 
     manifest_path = package_dir / MANIFEST_NAME
     if not manifest_path.is_file():
-        return ValidationReport(package_id=None, problems=[f"{MANIFEST_NAME} missing"])
+        problem = f"{MANIFEST_NAME} missing"
+        return ValidationReport(package_id=None, problems=[problem]), None, None
     try:
         manifest = parse_manifest(manifest_path.read_bytes())
     except (ParseError, ValidationError) as e:
-        return ValidationReport(package_id=None, problems=[f"{MANIFEST_NAME}: {e}"])
+        problem = f"{MANIFEST_NAME}: {e}"
+        return ValidationReport(package_id=None, problems=[problem]), None, None
 
     report = ValidationReport(package_id=manifest.package_id)
     for blob in manifest.blobs:
@@ -183,6 +196,7 @@ def validate_package(package_dir: str | os.PathLike) -> ValidationReport:
             BlobCheck(blob.name, present=True, size_ok=size_ok, sha256_ok=sha_ok)
         )
 
+    streams = []
     for name in STREAM_NAMES:
         path = package_dir / name
         if not path.is_file():
@@ -193,5 +207,6 @@ def validate_package(package_dir: str | os.PathLike) -> ValidationReport:
             report.streams.append(StreamCheck(name, monotonic_ok=False, detail=str(e)))
             continue
         report.streams.append(_check_monotonic(name, records))
+        streams.append(records)
 
-    return report
+    return report, manifest, tuple(streams) if len(streams) == len(STREAM_NAMES) else None

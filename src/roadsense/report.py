@@ -24,10 +24,11 @@ from .geo import (
     GpsAccuracySummary,
     Polyline,
     ReferenceIriRecord,
+    accuracy_summary,
     join_reference,
     load_reference_csv,
     regression_metrics,
-    trace_accuracy,
+    trace_accuracy,  # noqa: F401
 )
 from .kinematics import (
     EventKind,
@@ -35,7 +36,15 @@ from .kinematics import (
     detect_axis_spikes,
     segment_roughness,
 )
-from .package import read_manifest, read_streams, validate_package
+# read_manifest, read_streams, validate_package and trace_accuracy are
+# re-exported: analyze no longer calls them, but callers and the benchmark
+# tracer look them up on this module
+from .package import (  # noqa: F401
+    load_package,
+    read_manifest,
+    read_streams,
+    validate_package,
+)
 from .timeline import align_streams
 
 REPORT_JSON = "report.json"
@@ -144,14 +153,15 @@ def analyze(package_dir, route=None, reference=None, config: Config | None = Non
     if refs is not None and line is None:
         raise ValueError("a reference IRI file requires a route (chainage comes from snapping)")
 
-    check = validate_package(package_dir)
+    check, manifest, streams = load_package(package_dir)
     if not check.valid:
         raise ValidationError(
             "package failed validation: " + "; ".join(check.summary_lines()),
             field="package",
         )
-    manifest = read_manifest(package_dir)
-    samples, gps, frames = read_streams(package_dir)
+    if streams is None:
+        raise FileNotFoundError(f"package has a stream file missing: {package_dir}")
+    samples, gps, frames = streams
 
     aligned = align_streams(
         samples, gps, frames,
@@ -174,8 +184,8 @@ def analyze(package_dir, route=None, reference=None, config: Config | None = Non
     segments: tuple = ()
     snaps: tuple = ()
     if line is not None and len(gps) > 0:
-        gps_accuracy = trace_accuracy(gps, line)
         snaps = tuple(line.snap_many([(f.lat, f.lon) for f in gps]))
+        gps_accuracy = accuracy_summary(snaps)
         # noise can snap a fix slightly behind its predecessor; chainage
         # used for segmentation must not run backward
         fix_chain = np.maximum.accumulate([s.chainage_m for s in snaps])

@@ -387,7 +387,15 @@ def _make_handler(registry: Registry, hub: EventHub, stopping: threading.Event, 
             if length is None:
                 self._send_json(411, {"error": "length_required"})
                 return None
-            n = int(length)
+            try:
+                n = int(length)
+            except ValueError:
+                n = -1
+            if n < 0:
+                # the body's extent is unknown, so the connection cannot be reused
+                self.close_connection = True
+                self._send_json(400, {"error": "Content-Length must be a nonnegative integer"})
+                return None
             if n > max_body_bytes:
                 self.close_connection = True
                 self._send_json(413, {"error": "body_too_large", "max_bytes": max_body_bytes})
@@ -438,7 +446,10 @@ def _make_handler(registry: Registry, hub: EventHub, stopping: threading.Event, 
             if _ROUTE_STREAM.match(path):
                 return self._stream()
             if _ROUTE_PACKAGES.match(path):
-                since = int(self._query().get("since_seq", "0"))
+                try:
+                    since = int(self._query().get("since_seq", "0"))
+                except ValueError:
+                    return self._send_json(400, {"error": "since_seq must be an integer"})
                 return self._send_json(200, registry.committed_since(since))
             m = _ROUTE_BLOB.match(path)
             if m:
@@ -483,7 +494,11 @@ def _make_handler(registry: Registry, hub: EventHub, stopping: threading.Event, 
             if body is None:
                 return
             try:
-                new_offset = registry.append_chunk(package_id, name, int(offset_header), body)
+                offset = int(offset_header)
+            except ValueError:
+                return self._send_json(400, {"error": f"{OFFSET_HEADER} must be an integer"})
+            try:
+                new_offset = registry.append_chunk(package_id, name, offset, body)
             except NotFound as e:
                 return self._send_json(404, {"error": str(e)})
             except Conflict as e:

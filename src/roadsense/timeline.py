@@ -52,24 +52,26 @@ class TimeIndex:
 
         Ties break toward the earlier timestamp.
         """
+        j = int(self.nearest_positions(np.asarray([t], dtype=np.int64), tol)[0])
+        return self._items[j] if j >= 0 else None
+
+    def nearest_positions(self, t: np.ndarray, tol: int) -> np.ndarray:
+        """For each query time, the position of the nearest item within
+        *tol* (ties toward the earlier one), or -1 where none is."""
         if tol < 0:
             raise ValueError(f"tol must be >= 0, got {tol}")
         n = self._ts.size
         if n == 0:
-            return None
-        i = int(np.searchsorted(self._ts, t))
-        best = None
-        best_dist = None
-        if i > 0:
-            best = i - 1
-            best_dist = abs(t - int(self._ts[i - 1]))
-        if i < n:
-            d = abs(int(self._ts[i]) - t)
-            if best_dist is None or d < best_dist:  # strict: ties keep earlier
-                best, best_dist = i, d
-        if best_dist is None or best_dist > tol:
-            return None
-        return self._items[best]
+            return np.full(t.shape, -1, dtype=np.int64)
+        i = np.searchsorted(self._ts, t)
+        left = np.maximum(i - 1, 0)
+        right = np.minimum(i, n - 1)
+        d_left = np.where(i > 0, t - self._ts[left], np.iinfo(np.int64).max)
+        d_right = np.where(i < n, self._ts[right] - t, np.iinfo(np.int64).max)
+        take_right = d_right < d_left  # strict: ties keep the earlier item
+        best = np.where(take_right, right, left)
+        dist = np.where(take_right, d_right, d_left)
+        return np.where(dist <= tol, best, -1)
 
     def range(self, t0: int, t1: int) -> list:
         """All items with t0 <= t <= t1, in time order."""
@@ -80,16 +82,25 @@ class TimeIndex:
         return self._items[lo:hi]
 
 
-def build_index(stream: Sequence) -> TimeIndex:
-    return TimeIndex(stream)
+def _bracket(ts: np.ndarray, t: np.ndarray, max_gap_ms: int):
+    """Locate each query time in a sorted fix timeline.
 
-
-def nearest(idx: TimeIndex, t: int, tol: int):
-    return idx.nearest(t, tol)
-
-
-def range_query(idx: TimeIndex, t0: int, t1: int) -> list:
-    return idx.range(t0, t1)
+    Returns ``(exact, inside, left, w)``: ``exact`` marks queries that hit
+    a fix (its position is ``left``); ``inside`` marks queries strictly
+    between fixes ``left`` and ``left + 1`` that are at most *max_gap_ms*
+    apart, with ``w`` the interpolation weight toward the later fix.
+    Queries in neither set are outside coverage. *ts* must be nonempty.
+    """
+    n = ts.size
+    i = np.searchsorted(ts, t)
+    exact = (i < n) & (ts[np.minimum(i, n - 1)] == t)
+    left = np.where(exact, i, np.clip(i - 1, 0, max(n - 2, 0)))
+    right = np.minimum(left + 1, n - 1)
+    gap = ts[right] - ts[left]
+    inside = ~exact & (i > 0) & (i < n) & (gap <= max_gap_ms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(inside, (t - ts[left]) / gap, 0.0)
+    return exact, inside, left, w
 
 
 def interpolate_position(
@@ -101,46 +112,19 @@ def interpolate_position(
     *max_gap_ms*. Exact-timestamp hits return that fix regardless of the
     neighboring gaps.
     """
-    ts = gps.timestamps
-    n = ts.size
-    if n == 0:
+    if len(gps) == 0:
         return None
-    i = int(np.searchsorted(ts, t))
-    if i < n and int(ts[i]) == t:
-        fix = gps.items[i]
-        return (fix.lat, fix.lon)
-    if i == 0 or i == n:
-        return None
-    left, right = gps.items[i - 1], gps.items[i]
-    gap = right.t - left.t
-    if gap > max_gap_ms:
-        return None
-    w = (t - left.t) / gap
-    return (
-        left.lat + w * (right.lat - left.lat),
-        left.lon + w * (right.lon - left.lon),
+    exact, inside, left, w = _bracket(
+        gps.timestamps, np.asarray([t], dtype=np.int64), max_gap_ms
     )
-
-
-def _interpolate_speed(gps: TimeIndex, t: int, max_gap_ms: int) -> Optional[float]:
-    """Interpolate the GPS speed field at *t*; None when either bracketing
-    fix lacks a speed or *t* is outside coverage."""
-    ts = gps.timestamps
-    n = ts.size
-    if n == 0:
+    if not (exact[0] or inside[0]):
         return None
-    i = int(np.searchsorted(ts, t))
-    if i < n and int(ts[i]) == t:
-        return gps.items[i].speed_mps
-    if i == 0 or i == n:
-        return None
-    left, right = gps.items[i - 1], gps.items[i]
-    if right.t - left.t > max_gap_ms:
-        return None
-    if left.speed_mps is None or right.speed_mps is None:
-        return None
-    w = (t - left.t) / (right.t - left.t)
-    return left.speed_mps + w * (right.speed_mps - left.speed_mps)
+    a = gps.items[left[0]]
+    if exact[0]:
+        return (a.lat, a.lon)
+    b = gps.items[left[0] + 1]
+    w0 = float(w[0])
+    return (a.lat + w0 * (b.lat - a.lat), a.lon + w0 * (b.lon - a.lon))
 
 
 @dataclass(frozen=True)
@@ -167,18 +151,19 @@ def align_streams(
     one; otherwise it falls back to a central finite difference of
     interpolated positions over neighboring samples.
     """
-    sample_idx = samples if isinstance(samples, TimeIndex) else build_index(samples)
-    gps_idx = gps if isinstance(gps, TimeIndex) else build_index(gps)
-    frame_idx = frames if isinstance(frames, TimeIndex) else build_index(frames)
+    sample_idx = samples if isinstance(samples, TimeIndex) else TimeIndex(samples)
+    gps_idx = gps if isinstance(gps, TimeIndex) else TimeIndex(gps)
+    frame_idx = frames if isinstance(frames, TimeIndex) else TimeIndex(frames)
 
     sample_items = sample_idx.items
-    positions = [
-        interpolate_position(gps_idx, s.t, gps_max_gap_ms) for s in sample_items
-    ]
+    t = sample_idx.timestamps
+    positions, gps_speeds = _gps_at(gps_idx, t, gps_max_gap_ms)
+    frame_items = frame_idx.items
+    frame_pos = frame_idx.nearest_positions(t, frame_tol_ms).tolist()
+
     records = []
     n = len(sample_items)
-    for i, s in enumerate(sample_items):
-        speed = _interpolate_speed(gps_idx, s.t, gps_max_gap_ms)
+    for i, (s, speed, j) in enumerate(zip(sample_items, gps_speeds, frame_pos)):
         if speed is None:
             speed = _finite_difference_speed(sample_items, positions, i, n)
         records.append(
@@ -187,10 +172,36 @@ def align_streams(
                 sample=s,
                 position=positions[i],
                 speed_mps=speed,
-                frame=frame_idx.nearest(s.t, frame_tol_ms),
+                frame=frame_items[j] if j >= 0 else None,
             )
         )
     return records
+
+
+def _gps_at(gps: TimeIndex, t: np.ndarray, max_gap_ms: int):
+    """Interpolated positions and GPS-field speeds at times *t*, as lists
+    holding None where there is no position, or no speed on both
+    bracketing fixes."""
+    fixes = gps.items
+    if not fixes:
+        return [None] * t.size, [None] * t.size
+    lat = np.asarray([f.lat for f in fixes])
+    lon = np.asarray([f.lon for f in fixes])
+    has_speed = np.asarray([f.speed_mps is not None for f in fixes])
+    speed = np.asarray([0.0 if f.speed_mps is None else f.speed_mps for f in fixes])
+
+    exact, inside, left, w = _bracket(gps.timestamps, t, max_gap_ms)
+    right = np.minimum(left + 1, len(fixes) - 1)
+
+    def at(values: np.ndarray) -> list:
+        interpolated = values[left] + w * (values[right] - values[left])
+        return np.where(exact, values[left], interpolated).tolist()
+
+    located = (exact | inside).tolist()
+    positions = [p if ok else None for ok, p in zip(located, zip(at(lat), at(lon)))]
+    with_speed = (exact & has_speed[left] | inside & has_speed[left] & has_speed[right]).tolist()
+    speeds = [v if ok else None for ok, v in zip(with_speed, at(speed))]
+    return positions, speeds
 
 
 def _finite_difference_speed(samples, positions, i, n) -> Optional[float]:

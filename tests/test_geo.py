@@ -2,12 +2,14 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roadsense import geo
 from roadsense.errors import ValidationError
 from roadsense.geo import (
     EARTH_RADIUS_M,
@@ -199,6 +201,53 @@ def test_cross_track_never_exceeds_vertex_distance():
 
 def test_snap_many_empty():
     assert straight_line().snap_many([]) == []
+
+
+def zigzag_line(n):
+    return Polyline([(38.0 + i * 0.0005, -92.0 + (i % 2) * 0.0004) for i in range(n)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(min_value=37.999, max_value=38.003),
+                  st.floats(min_value=-92.005, max_value=-91.999)),
+        min_size=1, max_size=40,
+    ),
+    st.lists(st.integers(min_value=0, max_value=4), max_size=5),
+    st.integers(min_value=1, max_value=13),
+)
+def test_blocked_snap_matches_per_point_snap(points, vertex_ids, block_elems):
+    line = bent_line()
+    # vertices are equidistant from their two segments: the earlier one wins
+    points = points + [line.vertices[i] for i in vertex_ids]
+    with mock.patch.object(geo, "_SNAP_BLOCK_ELEMS", block_elems):
+        got = line.snap_many(points)
+    assert got == [snap_to_polyline(p, line) for p in points]
+
+
+def test_snap_ties_go_to_the_lowest_segment():
+    # segments 0 and 2 are the same A->B, so they tie exactly on every point
+    a, b = (38.0, -92.0), (38.001, -92.0005)
+    line = Polyline([a, b, a, b])
+    rng = np.random.default_rng(6)
+    points = [
+        (38.0 + rng.uniform(-2e-4, 1.2e-3), -92.0 + rng.uniform(-8e-4, 3e-4)) for _ in range(50)
+    ]
+    with mock.patch.object(geo, "_SNAP_BLOCK_ELEMS", 7):
+        snaps = line.snap_many(points)
+    assert all(s.segment_index in (0, 1) for s in snaps)
+    assert any(s.segment_index == 0 for s in snaps)
+
+
+def test_snap_many_spans_several_blocks():
+    line = zigzag_line(1200)
+    rng = np.random.default_rng(5)
+    points = [
+        (38.0 + rng.uniform(0.0, 0.6), -92.0 + rng.uniform(-0.001, 0.0014)) for _ in range(2000)
+    ]
+    assert len(points) > 2 * (geo._SNAP_BLOCK_ELEMS // (len(line.vertices) - 1))
+    assert line.snap_many(points) == [snap_to_polyline(p, line) for p in points]
 
 
 # -- trace accuracy -------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Roughness RMS, robust spike scores, event classification, segmentation."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roadsense import kinematics
 from roadsense.errors import ValidationError
 from roadsense.kinematics import (
     EventKind,
     SpikeEvent,
+    _runs_at_least,
     classify_events,
     classify_spike,
     detect_axis_spikes,
@@ -129,6 +132,71 @@ def test_scores_match_formula_on_noise():
     med = np.median(w)
     mad = np.median(np.abs(w - med))
     assert scores[i] == pytest.approx((az[i] - med) / (1.4826 * mad), rel=1e-9)
+
+
+def oracle_scores(ts, x, window_ms, scale_floor):
+    """One np.median pair per sample over its centered window."""
+    half = window_ms / 2.0
+    out = np.zeros(len(x))
+    for i in range(len(x)):
+        w = x[(ts >= ts[i] - half) & (ts <= ts[i] + half)]
+        med = np.median(w)
+        scale = max(1.4826 * np.median(np.abs(w - med)), scale_floor)
+        dev = x[i] - med
+        if scale == 0.0:
+            out[i] = 0.0 if dev == 0.0 else math.copysign(math.inf, dev)
+        else:
+            out[i] = dev / scale
+    return out
+
+
+# irregular sampling: mostly 33 ms steps, with jitter and occasional gaps
+_steps = st.lists(
+    st.one_of(st.just(33), st.integers(min_value=1, max_value=120),
+              st.integers(min_value=600, max_value=3_000)),
+    min_size=1, max_size=120,
+)
+# a few levels repeat often enough to leave constant stretches (MAD = 0)
+_values = st.one_of(st.sampled_from([9.81, 9.81, 9.81, 0.0, 12.5]),
+                    st.floats(min_value=-20.0, max_value=20.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _steps,
+    st.data(),
+    st.sampled_from([50, 333, 1000, 2500]),
+    st.sampled_from([0.0, 0.05, 0.7]),
+    st.sampled_from([1, 3, 64, kinematics._GATHER_ELEMS]),
+)
+def test_batched_scores_equal_per_window_medians(steps, data, window_ms, floor, block):
+    ts = np.cumsum(steps) - steps[0]
+    az = data.draw(st.lists(_values, min_size=len(ts), max_size=len(ts)))
+    samples = [
+        SensorSample(t=int(t), ax=0.0, ay=0.0, az=v, gx=0.0, gy=0.0, gz=0.0)
+        for t, v in zip(ts, az)
+    ]
+    with mock.patch.object(kinematics, "_GATHER_ELEMS", block):
+        got = robust_scores(samples, "z", window_ms, scale_floor=floor)
+    assert np.array_equal(got, oracle_scores(ts, np.asarray(az), window_ms, floor))
+
+
+def oracle_runs(mask, min_run):
+    runs, start = [], None
+    for i, m in enumerate(list(mask) + [False]):
+        if m and start is None:
+            start = i
+        elif not m and start is not None:
+            if i - start >= min_run:
+                runs.append((start, i - 1))
+            start = None
+    return runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.booleans(), max_size=80), st.integers(min_value=1, max_value=5))
+def test_runs_match_naive_scan(mask, min_run):
+    assert _runs_at_least(np.asarray(mask, dtype=bool), min_run) == oracle_runs(mask, min_run)
 
 
 def test_unknown_axis_rejected():

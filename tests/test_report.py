@@ -1,14 +1,18 @@
 """Analysis pipeline and report emission."""
 
+import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
 from roadsense.canonical import dumps_canonical
 from roadsense.config import Config
-from roadsense.drivesim import default_scenario, score_detections, write_package
+from roadsense import package
+from roadsense.drivesim import default_route, default_scenario, score_detections, write_package
 from roadsense.errors import ValidationError
-from roadsense.geo import ReferenceIriRecord
+from roadsense.geo import Polyline, ReferenceIriRecord
 from roadsense.kinematics import EventKind
 from roadsense.report import (
     AnalysisReport,
@@ -175,3 +179,64 @@ def test_emit_empty_report(tmp_path):
     doc = json.loads((tmp_path / "report.json").read_bytes())
     assert doc["events"] == [] and doc["segments"] == []
     assert json.loads((tmp_path / "trace.geojson").read_bytes())["features"] == []
+
+
+# -- pinned outputs and work counts -------------------------------------------------
+
+# sha256 of every report file for the fixed drive below, recorded before the
+# analysis core was vectorized; a change that alters these alters report bytes
+FIXED_DRIVE_DIGESTS = {
+    "report.json": "0cff7b908b00c0cb1aa503567c34ed9598e35fae63369318077e86d4ecb4172a",
+    "segments.csv": "3a1901cb62dea59435d7393116bdab3176795c8f0fb7d1d39b57fd545600ee00",
+    "events.csv": "074e881605acfe4ca30796d303787c73c075c86c9f00ab17b116fc1789b8807d",
+    "trace.geojson": "e29ceff141ca04f12d38d65d7048bd9d415b9c762bd03cb338d31fdf335e9228",
+    "accel.svg": "d0a36a5f9d223f6ebe6a3ff3c32ee766e8aafd7771848e002301cca6bbb13d38",
+    "fit.svg": "ae13e21a9a5a4bc0e9e9253a27754c38070e72976e073eaf8fa1f4ee83fc3eaa",
+}
+
+
+@pytest.fixture(scope="module")
+def fixed_drive(tmp_path_factory):
+    """Seed 7, 120 s, the default route as GeoJSON and a seeded IRI CSV with
+    one row per 160.9 m cell (the benchmark's fixed drive)."""
+    root = tmp_path_factory.mktemp("fixed")
+    line = default_route()
+    pkg_dir = write_package(default_scenario(7), root / "lib")[0]
+    route = root / "route.geojson"
+    coords = [[lon, lat] for lat, lon in line.vertices]
+    route.write_text(json.dumps({"type": "LineString", "coordinates": coords}), encoding="utf-8")
+    rng = np.random.default_rng([7, 2])
+    rows = ["# units: m/km", "begin_log_m,end_log_m,iri"]
+    for c in range(math.ceil(line.length_m / 160.9)):
+        lo, hi = c * 160.9, min((c + 1) * 160.9, line.length_m)
+        rows.append(f"{lo:.1f},{hi:.1f},{1.0 + 3.0 * float(rng.random()):.3f}")
+    ref = root / "iri.csv"
+    ref.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return pkg_dir, route, ref
+
+
+def test_fixed_drive_report_bytes_are_pinned(fixed_drive, tmp_path):
+    pkg_dir, route, ref = fixed_drive
+    emit_report(analyze(pkg_dir, route=route, reference=ref), tmp_path)
+    got = {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in EXPECTED_FILES}
+    assert got == FIXED_DRIVE_DIGESTS
+
+
+def test_routed_analyze_decodes_and_snaps_once(fixed_drive, monkeypatch):
+    pkg_dir, route, ref = fixed_drive
+    decoded, snapped = [], []
+    decode, snap_many = package.decode_jsonl_stream, Polyline.snap_many
+
+    def counting_decode(data, record_cls, stream_name):
+        decoded.append(stream_name)
+        return decode(data, record_cls, stream_name)
+
+    def counting_snap(self, points):
+        snapped.append(len(points))
+        return snap_many(self, points)
+
+    monkeypatch.setattr(package, "decode_jsonl_stream", counting_decode)
+    monkeypatch.setattr(Polyline, "snap_many", counting_snap)
+    analyze(pkg_dir, route=route, reference=ref)
+    assert sorted(decoded) == sorted(package.STREAM_NAMES)
+    assert len(snapped) == 1

@@ -266,6 +266,50 @@ def test_put_without_length_is_411(server):
     assert reply.split(b"\r\n", 1)[0].endswith(b"411 Length Required")
 
 
+def raw_status(server, request: bytes) -> bytes:
+    """Send one raw request and return the reply's status line."""
+    with socket.create_connection((server.host, server.port), timeout=5) as s:
+        s.sendall(request)
+        reply = b""
+        while b"\r\n" not in reply:
+            chunk = s.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+    return reply.split(b"\r\n", 1)[0]
+
+
+def test_malformed_since_seq_is_400(server):
+    status = raw_status(
+        server,
+        b"GET /v1/packages?since_seq=abc HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+    )
+    assert status.endswith(b"400 Bad Request")
+
+
+@pytest.mark.parametrize("length", [b"abc", b"-1"])
+def test_malformed_content_length_is_400(server, length):
+    status = raw_status(
+        server,
+        b"POST /v1/packages HTTP/1.1\r\nHost: t\r\nContent-Length: " + length + b"\r\n\r\n{}",
+    )
+    assert status.endswith(b"400 Bad Request")
+
+
+def test_malformed_upload_offset_is_400(server):
+    manifest, _ = wire_package()
+    client = SyncClient(server.base_url)
+    client.create_session(manifest)
+    client.close()
+    status = raw_status(
+        server,
+        f"PUT /v1/packages/{manifest.package_id}/blobs/sensors.jsonl HTTP/1.1\r\n".encode()
+        + b"Host: t\r\nUpload-Offset: zz\r\nContent-Length: 2\r\nConnection: close\r\n\r\nab",
+    )
+    assert status.endswith(b"400 Bad Request")
+    assert server.registry.blob_offset(manifest.package_id, "sensors.jsonl") == 0
+
+
 def test_commit_conflict_and_digest_codes(server):
     manifest, payloads = wire_package()
     transport = HttpTransport(server.base_url)

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_frames, make_gps, make_samples
-from roadsense.model import GpsFix, SensorSample
+from roadsense.geo import haversine
+from roadsense.model import FrameRef, GpsFix, SensorSample
 from roadsense.timeline import (
     TimeIndex,
     align_streams,
-    build_index,
     interpolate_position,
 )
 
@@ -100,7 +100,7 @@ def fix(t, lat, lon, speed=None):
 
 
 def test_interpolate_position_midpoint_and_exact():
-    idx = build_index([fix(0, 10.0, 20.0), fix(1000, 11.0, 21.0)])
+    idx = TimeIndex([fix(0, 10.0, 20.0), fix(1000, 11.0, 21.0)])
     assert interpolate_position(idx, 0) == (10.0, 20.0)
     lat, lon = interpolate_position(idx, 500)
     assert lat == pytest.approx(10.5)
@@ -108,13 +108,13 @@ def test_interpolate_position_midpoint_and_exact():
 
 
 def test_interpolate_position_outside_coverage():
-    idx = build_index([fix(100, 10.0, 20.0), fix(200, 11.0, 21.0)])
+    idx = TimeIndex([fix(100, 10.0, 20.0), fix(200, 11.0, 21.0)])
     assert interpolate_position(idx, 99) is None
     assert interpolate_position(idx, 201) is None
 
 
 def test_interpolate_position_refuses_wide_gaps():
-    idx = build_index([fix(0, 10.0, 20.0), fix(10_000, 11.0, 21.0)])
+    idx = TimeIndex([fix(0, 10.0, 20.0), fix(10_000, 11.0, 21.0)])
     assert interpolate_position(idx, 5_000, max_gap_ms=5_000) is None
     # exact hits are fine regardless of the gap
     assert interpolate_position(idx, 10_000, max_gap_ms=5_000) == (11.0, 21.0)
@@ -181,3 +181,99 @@ def test_alignment_no_position_beyond_gps():
     rows = align_streams(samples, gps, [])
     beyond = [r for r in rows if r.t > 1000]
     assert beyond and all(r.position is None for r in beyond)
+
+
+# -- alignment against scalar oracles ----------------------------------------------
+
+
+def oracle_bracket(fixes, t, max_gap_ms):
+    """('exact', fix), ('inside', left, right, w) or None, by linear scan."""
+    for f in fixes:
+        if f.t == t:
+            return ("exact", f)
+    before = [f for f in fixes if f.t < t]
+    after = [f for f in fixes if f.t > t]
+    if not before or not after or after[0].t - before[-1].t > max_gap_ms:
+        return None
+    a, b = before[-1], after[0]
+    return ("inside", a, b, (t - a.t) / (b.t - a.t))
+
+
+def oracle_position(fixes, t, max_gap_ms):
+    hit = oracle_bracket(fixes, t, max_gap_ms)
+    if hit is None:
+        return None
+    if hit[0] == "exact":
+        return (hit[1].lat, hit[1].lon)
+    _, a, b, w = hit
+    return (a.lat + w * (b.lat - a.lat), a.lon + w * (b.lon - a.lon))
+
+
+def oracle_speeds(samples, fixes, max_gap_ms):
+    """GPS-field speed where both bracketing fixes carry one, else the
+    central finite difference of neighboring positions."""
+    positions = [oracle_position(fixes, s.t, max_gap_ms) for s in samples]
+    out = []
+    n = len(samples)
+    for i, s in enumerate(samples):
+        hit = oracle_bracket(fixes, s.t, max_gap_ms)
+        speed = None
+        if hit is not None and hit[0] == "exact":
+            speed = hit[1].speed_mps
+        elif hit is not None and hit[1].speed_mps is not None and hit[2].speed_mps is not None:
+            _, a, b, w = hit
+            speed = a.speed_mps + w * (b.speed_mps - a.speed_mps)
+        if speed is None:
+            lo, hi = max(i - 1, 0), min(i + 1, n - 1)
+            p0, p1 = positions[lo], positions[hi]
+            if lo != hi and p0 is not None and p1 is not None:
+                speed = haversine(p0, p1) / ((samples[hi].t - samples[lo].t) / 1000.0)
+        out.append(speed)
+    return out
+
+
+_times = st.lists(st.integers(min_value=0, max_value=20_000), min_size=1, max_size=40, unique=True).map(sorted)
+
+
+@st.composite
+def _streams(draw):
+    sample_ts = draw(_times)
+    # fixes on sample times (exact hits), between them, and across wide gaps
+    extra = draw(st.lists(st.integers(min_value=-500, max_value=21_000), max_size=15))
+    hits = draw(st.lists(st.sampled_from(sample_ts), max_size=5))
+    gps_ts = sorted(set(extra) | set(hits))
+    gps = [
+        GpsFix(
+            t=t, lat=draw(st.floats(min_value=-60.0, max_value=60.0)),
+            lon=draw(st.floats(min_value=-170.0, max_value=170.0)), alt_m=0.0,
+            speed_mps=draw(st.one_of(st.none(), st.floats(min_value=0.0, max_value=40.0))),
+        )
+        for t in gps_ts if t >= 0
+    ]
+    # frames equidistant from some samples, so ties must go to the earlier one
+    tol = draw(st.integers(min_value=0, max_value=400))
+    frame_ts = set(draw(st.lists(st.integers(min_value=0, max_value=21_000), max_size=15)))
+    for t in draw(st.lists(st.sampled_from(sample_ts), max_size=4)):
+        d = draw(st.integers(min_value=0, max_value=300))
+        frame_ts |= {t + d, max(t - d, 0)}
+    frames = [FrameRef(t=t, index=j, file=f"frames/{j:06d}.jpg") for j, t in enumerate(sorted(frame_ts))]
+    samples = [SensorSample(t=t, ax=0.0, ay=0.0, az=9.81, gx=0.0, gy=0.0, gz=0.0) for t in sample_ts]
+    max_gap = draw(st.sampled_from([0, 700, 5_000]))
+    return samples, gps, frames, tol, max_gap
+
+
+@settings(max_examples=200, deadline=None)
+@given(_streams())
+def test_align_matches_scalar_oracles(streams):
+    samples, gps, frames, tol, max_gap = streams
+    rows = align_streams(samples, gps, frames, frame_tol_ms=tol, gps_max_gap_ms=max_gap)
+    gps_idx = TimeIndex(gps)
+    frame_ts = [f.t for f in frames]
+    speeds = oracle_speeds(samples, gps, max_gap)
+    for row, s, speed in zip(rows, samples, speeds):
+        want = oracle_position(gps, s.t, max_gap)
+        assert row.position == want
+        assert interpolate_position(gps_idx, s.t, max_gap) == want
+        assert row.speed_mps == speed
+        near = oracle_nearest(frame_ts, s.t, tol)
+        assert (row.frame.t if row.frame else None) == near
