@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -150,22 +152,28 @@ def cmd_pull(args) -> int:
             if pkg_dir.exists():
                 print(f"{manifest.package_id}: exists, skipped")
                 continue
-            pkg_dir.mkdir(parents=True)
+            # download beside the mirror and move in only once valid, so an
+            # interrupted pull never leaves a partial package under its id
+            partial = out / f".{manifest.package_id}.partial"
+            if partial.exists():
+                shutil.rmtree(partial)
+            partial.mkdir()
             for blob in manifest.blobs:
                 data = client.download_blob(manifest.package_id, blob.name)
-                dest = pkg_dir / blob.name
+                dest = partial / blob.name
                 dest.parent.mkdir(parents=True, exist_ok=True)
                 dest.write_bytes(data)
-            (pkg_dir / "manifest.json").write_bytes(
+            (partial / "manifest.json").write_bytes(
                 dumps_canonical(item["manifest"]) + b"\n"
             )
-            check = validate_package(pkg_dir)
+            check = validate_package(partial)
             print(f"{manifest.package_id}: seq {item['commit_seq']}, "
                   f"{'valid' if check.valid else 'INVALID'}")
             if not check.valid:
                 for line in check.summary_lines():
                     print(f"  {line}")
                 return EXIT_VALIDATION
+            os.replace(partial, pkg_dir)
     print(f"{len(listed)} package(s)")
     return EXIT_OK
 

@@ -299,12 +299,15 @@ def recover(root: str | os.PathLike) -> LibraryIndex:
     Packages that were mid-upload at a crash come back as Interrupted
     (their sidecar says InProgress but no uploader is running). Corrupt
     packages are listed with their validation failure, never dropped.
+    Dot-directories, such as the ``.<id>.partial`` of a pull in progress,
+    are not packages and are skipped.
     """
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"library root does not exist: {root}")
     entries: dict[str, LibraryEntry] = {}
-    for child in sorted(p for p in root.iterdir() if p.is_dir()):
+    children = (p for p in root.iterdir() if p.is_dir() and not p.name.startswith("."))
+    for child in sorted(children):
         manifest = None
         state = None
         error = None

@@ -6,6 +6,9 @@ import pytest
 
 from roadsense.cli import main
 from roadsense.drivesim import Scenario, default_scenario
+from roadsense.errors import NetworkError
+from roadsense.package import validate_package
+from roadsense.syncclient import SyncClient
 from roadsense.geo import ReferenceIriRecord
 from roadsense.report import analyze
 
@@ -192,6 +195,40 @@ def test_upload_pull_round_trip(server, tmp_path, capsys):
     rc = main(["status", "--library", str(lib)])
     assert rc == 0
     assert "complete" in capsys.readouterr().out
+
+
+def test_interrupted_pull_resumes_to_a_valid_mirror(server, tmp_path, monkeypatch, capsys):
+    lib = tmp_path / "lib"
+    assert main(["simulate", "--seed", "33", "--out", str(lib)]) == 0
+    pkg_dir = lib / default_scenario(33).package_id
+    assert main(["upload", "--package", str(pkg_dir), "--endpoint", server.base_url]) == 0
+
+    real_download = SyncClient.download_blob
+    calls = []
+
+    def dies_after_first_blob(self, package_id, name):
+        if calls:
+            raise NetworkError("connection lost mid-pull")
+        calls.append(name)
+        return real_download(self, package_id, name)
+
+    pulled = tmp_path / "pulled"
+    monkeypatch.setattr(SyncClient, "download_blob", dies_after_first_blob)
+    assert main(["pull", "--endpoint", server.base_url, "--out", str(pulled)]) == 4
+    assert not (pulled / pkg_dir.name).exists()
+    monkeypatch.undo()
+    capsys.readouterr()
+
+    assert main(["pull", "--endpoint", server.base_url, "--out", str(pulled)]) == 0
+    assert "seq 1, valid" in capsys.readouterr().out
+    assert [p.name for p in pulled.iterdir()] == [pkg_dir.name]  # no work dir left
+    mirror = pulled / pkg_dir.name
+    assert validate_package(mirror).valid
+    for name in ("manifest.json", "sensors.jsonl", "gps.jsonl", "frames.jsonl"):
+        assert (mirror / name).read_bytes() == (pkg_dir / name).read_bytes()
+
+    assert main(["pull", "--endpoint", server.base_url, "--out", str(pulled)]) == 0
+    assert "exists, skipped" in capsys.readouterr().out
 
 
 def test_upload_library_batch(server, tmp_path, capsys):

@@ -158,6 +158,15 @@ def test_recover_lists_corrupt_packages(tmp_path):
     assert "sensors.jsonl" in entry.error
 
 
+def test_recover_skips_dot_directories(tmp_path):
+    _, manifest = build_package(tmp_path)
+    # a pull interrupted mid-download leaves its work directory behind
+    partial = tmp_path / f".{manifest.package_id}.partial"
+    partial.mkdir()
+    (partial / "sensors.jsonl").write_bytes(b"torn")
+    assert list(recover(tmp_path).entries) == [manifest.package_id]
+
+
 def test_recover_missing_root(tmp_path):
     with pytest.raises(FileNotFoundError):
         recover(tmp_path / "absent")

@@ -1,13 +1,17 @@
 """Sync service: registry semantics, wire protocol, durability, event stream."""
 
 import hashlib
+import http.client
 import json
 import socket
+import statistics
+import time
 import uuid
 
 import pytest
 
-from roadsense.model import BlobEntry, PackageManifest
+from roadsense.canonical import dumps_canonical
+from roadsense.model import BlobEntry, PackageManifest, serialize_manifest
 from roadsense.packstore import OffsetMismatch, ServerRejected
 from roadsense.syncclient import EventStream, HttpTransport, StreamEnded, SyncClient
 from roadsense.syncd import (
@@ -178,6 +182,76 @@ def test_replay_rejects_broken_commit_logs(tmp_path):
         Registry(sparse)
 
 
+def committed_registry(data_dir, n):
+    """A registry over ``data_dir`` holding n committed packages."""
+    reg = Registry(data_dir)
+    manifests = []
+    for _ in range(n):
+        manifest, payloads = wire_package()
+        reg.create_package(manifest)
+        push_all(reg, manifest, payloads)
+        reg.commit(manifest.package_id)
+        manifests.append(manifest)
+    return reg, manifests
+
+
+@pytest.mark.parametrize("tail", [b'{"commit_seq":3,"comm', b"{}", b"\x00\x00"])
+def test_replay_truncates_a_torn_commit_log_tail(tmp_path, tail):
+    reg, _ = committed_registry(tmp_path, 2)
+    pending, payloads = wire_package()
+    reg.create_package(pending)
+    push_all(reg, pending, payloads)
+    log_path = tmp_path / "commits.jsonl"
+    intact = log_path.read_bytes()
+    log_path.write_bytes(intact + tail)  # crash in mid-append: no newline
+
+    reborn = Registry(tmp_path)
+    assert log_path.read_bytes() == intact
+    assert reborn.snapshot_events() == reg.snapshot_events()
+    assert not reborn.packages[pending.package_id].committed
+    assert reborn.commit(pending.package_id)[0].commit_seq == 3
+    assert [e.commit_seq for e in Registry(tmp_path).snapshot_events()] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("bad_line", [b'{"commit_seq":2,"comm', b"[1]", b'{"commit_seq":2}'])
+def test_replay_refuses_a_corrupt_terminated_line(tmp_path, bad_line):
+    committed_registry(tmp_path, 1)
+    log_path = tmp_path / "commits.jsonl"
+    intact = log_path.read_bytes()
+    log_path.write_bytes(intact + bad_line + b"\n")
+    with pytest.raises(RuntimeError, match="line 2 is corrupt"):
+        Registry(tmp_path)
+    assert log_path.read_bytes() == intact + bad_line + b"\n"  # left for the operator
+
+
+def listing_at_parent(reg, since_seq):
+    """The listing as first specified: a scan of every event, each manifest
+    serialised afresh."""
+    return [
+        {
+            "commit_seq": e.commit_seq,
+            "committed_at_ms": e.committed_at_ms,
+            "manifest": json.loads(serialize_manifest(reg.packages[e.package_id].manifest)),
+        }
+        for e in reg.events
+        if e.commit_seq > since_seq
+    ]
+
+
+def test_committed_since_slices_dense_seqs(tmp_path):
+    reg, manifests = committed_registry(tmp_path, 4)
+    reborn = Registry(tmp_path)  # listing docs rebuilt by replay
+    for r in (reg, reborn):
+        for since in (-5, -1, 0, 1, 3, 4, 5, 99):
+            got = r.committed_since(since)
+            assert dumps_canonical(got) == dumps_canonical(listing_at_parent(r, since))
+    assert [d["manifest"]["package_id"] for d in reg.committed_since(-3)] == [
+        m.package_id for m in manifests
+    ]
+    assert reg.committed_since(4) == reg.committed_since(99) == []
+    assert [d["commit_seq"] for d in reg.committed_since(2)] == [3, 4]
+
+
 # -- wire protocol ------------------------------------------------------------------
 
 
@@ -308,6 +382,47 @@ def test_malformed_upload_offset_is_400(server):
     )
     assert status.endswith(b"400 Bad Request")
     assert server.registry.blob_offset(manifest.package_id, "sensors.jsonl") == 0
+
+
+def test_listing_since_seq_out_of_range(server):
+    with SyncClient(server.base_url) as client:
+        ids = commit_empty(client, 2)
+        assert [p["manifest"]["package_id"] for p in client.query_packages(since_seq=-7)] == ids
+        assert client.query_packages(since_seq=2) == []
+        assert client.query_packages(since_seq=50) == []
+
+
+def test_replies_with_a_body_do_not_stall(server):
+    """Keep-alive replies that carry a body must not wait for the client's
+    delayed ACK (about 40 ms each while Nagle's algorithm is on)."""
+    manifest, payloads = wire_package()
+    with SyncClient(server.base_url) as client:
+        client.create_session(manifest)
+        push_all(client, manifest, payloads, chunk=1 << 16)
+        client.commit(manifest.package_id)
+    pid = manifest.package_id
+    requests = [
+        ("GET", "/v1/packages?since_seq=0"),
+        ("GET", f"/v1/packages/{pid}/blobs/sensors.jsonl"),
+        ("POST", f"/v1/packages/{pid}/commit"),  # repeat commit: idempotent receipt
+    ]
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        conn.connect()
+        sock = conn.sock
+        times = []
+        for i in range(40):
+            method, path = requests[i % len(requests)]
+            t0 = time.perf_counter()
+            conn.request(method, path, body=b"" if method == "POST" else None)
+            resp = conn.getresponse()
+            body = resp.read()
+            times.append(time.perf_counter() - t0)
+            assert resp.status == 200 and body
+            assert conn.sock is sock  # one connection throughout
+    finally:
+        conn.close()
+    assert statistics.median(times) * 1000 < 15.0
 
 
 def test_commit_conflict_and_digest_codes(server):
