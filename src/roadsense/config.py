@@ -23,12 +23,10 @@ class Config:
     merge_gap_ms: int = 300
     spike_min_run: int = 2
     segment_len_m: float = 160.9
-    detrend: bool = True
     # packstore / upload
     max_retries: int = 5
     backoff_base_s: float = 1.0
     backoff_cap_s: float = 60.0
-    upload_parallelism: int = 2
     chunk_bytes: int = 262_144
 
 

@@ -108,14 +108,16 @@ class Polyline:
     def snap_many(self, points: Sequence[tuple[float, float]]) -> list[SnapResult]:
         """Snap each (lat, lon) point to the nearest location on the line.
 
-        Points are processed in row blocks so that each fixes x segments
-        temporary stays near _SNAP_BLOCK_ELEMS values; rows are independent,
-        so the blocking changes no result.
+        *points* is a sequence of pairs or an (n, 2) array. Points are
+        processed in row blocks so that each fixes x segments temporary
+        stays near _SNAP_BLOCK_ELEMS values; rows are independent, so the
+        blocking changes no result.
         """
         if len(points) == 0:
             return []
-        plat = np.radians(np.asarray([p[0] for p in points]))[:, None]
-        plon = np.radians(np.asarray([p[1] for p in points]))[:, None]
+        pts = np.asarray(points, dtype=float)
+        plat = np.radians(pts[:, 0])[:, None]
+        plon = np.radians(pts[:, 1])[:, None]
 
         alat = np.radians(self._lat[:-1])[None, :]
         alon = np.radians(self._lon[:-1])[None, :]

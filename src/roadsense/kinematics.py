@@ -21,6 +21,10 @@ reduced with ``np.median(axis=1)``. A regular sample grid has only a
 handful of distinct widths, so a whole stream costs a few vectorized
 medians instead of two per sample, bit-identical to the per-window
 computation.
+
+Every function here takes the samples either as decoded
+``StreamColumns`` or as a sequence of ``SensorSample`` records; records
+are turned into columns once per call.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .model import SensorSample, StreamColumns, columns_from_records
 
 MAD_SCALE = 1.4826  # makes MAD consistent with stddev for Gaussian noise
 
@@ -68,11 +73,19 @@ class RmsSeries:
     points: tuple[RmsPoint, ...]
 
 
-def _channel(samples: Sequence, axis: str) -> np.ndarray:
+def _columns(samples) -> StreamColumns:
+    """*samples* as columns: decoded columns as they are, records
+    converted once."""
+    if isinstance(samples, StreamColumns):
+        return samples
+    return columns_from_records(samples, SensorSample)
+
+
+def _channel(samples, axis: str) -> np.ndarray:
     attr = ACCEL_CHANNELS.get(axis, axis)
     if attr not in ("ax", "ay", "az"):
         raise ValueError(f"unknown axis {axis!r}; expected x, y or z")
-    return np.asarray([getattr(s, attr) for s in samples], dtype=float)
+    return _columns(samples)[attr]
 
 
 def sliding_rms(
@@ -93,8 +106,9 @@ def sliding_rms(
         raise ValueError("window_ms and hop_ms must be > 0")
     if len(samples) == 0:
         return RmsSeries(window_ms, hop_ms, ())
-    ts = np.asarray([s.t for s in samples], dtype=np.int64)
-    x = _channel(samples, axis)
+    cols = _columns(samples)
+    ts = cols["t"]
+    x = _channel(cols, axis)
     points = []
     start = int(ts[0])
     last = int(ts[-1])
@@ -139,8 +153,9 @@ def robust_scores(
     ``scale_floor`` bounds the denominator from below; 0 keeps the pure
     per-window statistic.
     """
-    ts = np.asarray([s.t for s in samples], dtype=np.int64)
-    x = _channel(samples, axis)
+    cols = _columns(samples)
+    ts = cols["t"]
+    x = _channel(cols, axis)
     n = x.size
     if n == 0:
         return np.zeros(0)
@@ -211,12 +226,13 @@ def detect_axis_spikes(
         raise ValueError(f"k must be > 0, got {k}")
     if len(samples) == 0:
         return []
-    ts = np.asarray([s.t for s in samples], dtype=np.int64)
+    cols = _columns(samples)
+    ts = cols["t"]
 
     excursions = []  # (t_start, t_end, axis, peak)
     for axis in ("x", "y", "z"):
         scores = robust_scores(
-            samples, axis, window_ms, scale_floor=_global_scale(samples, axis)
+            cols, axis, window_ms, scale_floor=_global_scale(cols, axis)
         )
         mask = np.abs(scores) >= k
         for i, j in _runs_at_least(mask, min_run):
@@ -318,6 +334,10 @@ def segment_roughness(
     """Partition records by chainage into fixed [i*L, (i+1)*L) cells and
     report per-cell RMS of detrended vertical acceleration plus mean speed.
 
+    *aligned* is a sequence of AlignedRecords, or StreamColumns with an
+    ``az`` column and a ``speed_mps`` column that is NaN where the speed
+    is unknown.
+
     Cells up to the last occupied one are all emitted, empty ones with
     n_samples = 0.
     """
@@ -330,9 +350,12 @@ def segment_roughness(
     c = np.asarray(chainage, dtype=float)
     if np.any(np.diff(c) < 0):
         raise ValueError("chainage must be nondecreasing")
-    az = np.asarray([r.sample.az for r in aligned], dtype=float)
-    has_speed = np.asarray([r.speed_mps is not None for r in aligned])
-    speed = np.asarray([r.speed_mps if r.speed_mps is not None else 0.0 for r in aligned])
+    if isinstance(aligned, StreamColumns):
+        az, speed = aligned["az"], aligned["speed_mps"]
+    else:
+        az = np.asarray([r.sample.az for r in aligned], dtype=float)
+        speed = np.asarray([np.nan if r.speed_mps is None else r.speed_mps for r in aligned])
+    has_speed = ~np.isnan(speed)
 
     n_cells = int(np.floor(c[-1] / segment_len_m)) + 1
     cell_of = np.minimum((c / segment_len_m).astype(int), n_cells - 1)

@@ -6,7 +6,19 @@ streams are session-relative integer milliseconds; the wall-clock anchor
 lives only in the manifest. Units are SI throughout: m/s² for
 acceleration, rad/s for angular rate, meters and m/s for GPS.
 
-All types are immutable values; invariants are checked at construction.
+A stream has two decoded forms. ``decode_jsonl_columns`` gives
+``StreamColumns``, one numpy array per field; validation and analysis
+work on these. ``decode_jsonl_stream`` gives a list of records
+(``SensorSample``, ``GpsFix``, ``FrameRef``), the API at the edges: the
+``query`` command, package creation and the simulator. Both accept and
+reject the same bytes, except that the columns also refuse an integer
+beyond int64.
+
+The records are immutable values whose invariants are checked at
+construction, and they are the one statement of those invariants: the
+column decoder checks the same rules on whole arrays, and hands any
+stream that fails them to the record decoder, so that errors carry the
+same message and offset.
 """
 
 from __future__ import annotations
@@ -16,6 +28,8 @@ import math
 import re
 import uuid
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .canonical import dumps_canonical, dumps_jsonl_line
 from .errors import ParseError, UnsupportedVersionError, ValidationError
@@ -361,3 +375,175 @@ def decode_jsonl_stream(data: bytes, record_cls, stream_name: str):
 def encode_jsonl_stream(records) -> bytes:
     """Encode records (anything with ``to_jsonl``) as LF-terminated JSONL."""
     return b"".join(r.to_jsonl() + b"\n" for r in records)
+
+
+class StreamColumns:
+    """One decoded stream as numpy columns, one per record field.
+
+    ``t`` (and a frame's ``index``) is int64, every other number float64.
+    The optional GPS fields ``speed_mps`` and ``h_acc_m`` are NaN where a
+    fix has none, with a bool mask ``has_speed_mps`` / ``has_h_acc_m``; a
+    frame's ``file`` is a list of str. ``len`` is the record count.
+    """
+
+    __slots__ = ("fields",)
+
+    def __init__(self, fields: dict):
+        self.fields = dict(fields)
+
+    def __getitem__(self, name: str):
+        return self.fields[name]
+
+    def __len__(self) -> int:
+        return len(self.fields["t"])
+
+    def __repr__(self) -> str:
+        return f"StreamColumns({sorted(self.fields)}, n={len(self)})"
+
+
+# column kind per record field: "int" (int64 >= 0), "float" (finite),
+# "optional" (finite or absent), "str"
+_COLUMN_KINDS = {
+    SensorSample: (("t", "int"),) + tuple((n, "float") for n in ("ax", "ay", "az", "gx", "gy", "gz")),
+    GpsFix: (
+        ("t", "int"), ("lat", "float"), ("lon", "float"), ("alt_m", "float"),
+        ("speed_mps", "optional"), ("h_acc_m", "optional"),
+    ),
+    FrameRef: (("t", "int"), ("index", "int"), ("file", "str")),
+}
+# the value types the column decoder takes as they are, per kind; anything
+# else (a bool, a numeric string) is left to the record decoder
+_FAST_TYPES = {
+    "int": frozenset({int}),
+    "float": frozenset({int, float}),
+    "optional": frozenset({int, float, type(None)}),
+    "str": frozenset({str}),
+}
+_INT64_MAX = np.iinfo(np.int64).max
+_BLOCK_LINES = 1024  # decoded JSON objects decode_jsonl_columns holds at once
+_JSON = json.JSONDecoder()
+
+
+def _put_column(cols: dict, name: str, kind: str, values: list) -> None:
+    """Store one field's values as its column (and mask, when optional)."""
+    if kind == "int":
+        cols[name] = np.array(values, dtype=np.int64)
+    elif kind == "float":
+        cols[name] = np.array(values, dtype=np.float64)
+    elif kind == "str":
+        cols[name] = values
+    else:
+        cols[name] = np.array([math.nan if v is None else v for v in values], dtype=np.float64)
+        cols["has_" + name] = np.array([v is not None for v in values], dtype=bool)
+
+
+def _valid_columns(cols: dict, record_cls) -> bool:
+    """Every invariant the record constructors check, on whole columns."""
+    for name, kind in _COLUMN_KINDS[record_cls]:
+        v = cols[name]
+        if kind == "int" and (v < 0).any():
+            return False
+        if kind == "float" and not np.isfinite(v).all():
+            return False
+        if kind == "optional":
+            present = v[cols["has_" + name]]
+            if not (np.isfinite(present).all() and (present >= 0).all()):
+                return False
+    if record_cls is GpsFix:
+        if not ((np.abs(cols["lat"]) <= 90.0).all() and (np.abs(cols["lon"]) <= 180.0).all()):
+            return False
+    if record_cls is FrameRef:
+        try:
+            for p in cols["file"]:
+                _check_relative_path("file", p)
+        except ValidationError:
+            return False
+    return True
+
+
+def _fast_columns(data: bytes, record_cls) -> dict | None:
+    """Columns of a stream in which every nonempty line is exactly one
+    JSON object holding valid field values; None for any other stream.
+
+    Each line is parsed on its own span of the decoded text, so a line
+    that is not one complete object never passes, even when the lines
+    joined together would parse.
+    """
+    kinds = _COLUMN_KINDS[record_cls]
+    blocks = []
+
+    def take(docs: list) -> bool:
+        block = {}
+        for name, kind in kinds:
+            values = [d.get(name) for d in docs] if kind == "optional" else [d[name] for d in docs]
+            if not set(map(type, values)) <= _FAST_TYPES[kind]:
+                return False
+            _put_column(block, name, kind, values)
+        blocks.append(block)
+        return True
+
+    scan = _JSON.raw_decode
+    try:
+        text = data.decode("utf-8")
+        size = len(text)
+        docs = []
+        pos = 0  # where the current line starts in text
+        while pos < size:
+            end = text.find("\n", pos)
+            if end < 0:
+                end = size
+            if end > pos:
+                d, stop = scan(text, pos)
+                if stop != end or type(d) is not dict:
+                    return None
+                docs.append(d)
+                if len(docs) == _BLOCK_LINES:
+                    if not take(docs):
+                        return None
+                    docs = []
+            pos = end + 1
+        if not take(docs):
+            return None
+    except (ValueError, KeyError, OverflowError, RecursionError):
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        return None
+
+    cols = {}
+    for key, first in blocks[0].items():
+        parts = [block[key] for block in blocks]
+        cols[key] = [v for p in parts for v in p] if isinstance(first, list) else np.concatenate(parts)
+    return cols if _valid_columns(cols, record_cls) else None
+
+
+def columns_from_records(records, record_cls) -> StreamColumns:
+    """The columns of a record sequence (see StreamColumns)."""
+    cols = {}
+    for name, kind in _COLUMN_KINDS[record_cls]:
+        _put_column(cols, name, kind, [getattr(r, name) for r in records])
+    return StreamColumns(cols)
+
+
+def decode_jsonl_columns(data: bytes, record_cls, stream_name: str) -> StreamColumns:
+    """Decode a JSONL blob of *record_cls* records straight into columns.
+
+    Accepts exactly what ``decode_jsonl_stream`` accepts, with the same
+    values, and raises what it raises: a stream the column checks do not
+    pass is decoded by ``decode_jsonl_stream``, whose exception (type,
+    message, offset) is the result, and whose records become the columns
+    when it succeeds (for example on a bool or a numeric string that
+    ``float()`` takes). The one difference: an integer field beyond int64
+    raises ValidationError naming the line.
+    """
+    cols = _fast_columns(data, record_cls)
+    if cols is not None:
+        return StreamColumns(cols)
+    records = decode_jsonl_stream(data, record_cls, stream_name)
+    ints = [name for name, kind in _COLUMN_KINDS[record_cls] if kind == "int"]
+    for i, r in enumerate(records):
+        for name in ints:
+            if getattr(r, name) > _INT64_MAX:
+                lineno = [k for k, raw in enumerate(data.split(b"\n"), start=1) if raw][i]
+                raise ValidationError(
+                    f"{stream_name}: {name} beyond the int64 range at line {lineno}", field=name
+                )
+    return columns_from_records(records, record_cls)

@@ -12,6 +12,11 @@ Layout (fixed):
 
 Every file except manifest.json and upload_state.json is a blob tracked
 in the manifest with size and sha256.
+
+``load_package`` validates a package and decodes each stream once into
+``StreamColumns`` (numpy arrays per field); the checks run on those
+columns, and analysis reuses them. ``read_stream``/``read_streams`` decode
+into records, the API at the edges.
 """
 
 from __future__ import annotations
@@ -21,12 +26,16 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ParseError, ValidationError
 from .model import (
     FrameRef,
     GpsFix,
     PackageManifest,
     SensorSample,
+    StreamColumns,
+    decode_jsonl_columns,
     decode_jsonl_stream,
     parse_manifest,
 )
@@ -129,26 +138,27 @@ class ValidationReport:
         return lines
 
 
-def _check_monotonic(name: str, records) -> StreamCheck:
-    prev_t = None
-    for i, r in enumerate(records):
-        if prev_t is not None and r.t <= prev_t:
+def _first_not_increasing(v: np.ndarray) -> int | None:
+    bad = np.flatnonzero(np.diff(v) <= 0)
+    return int(bad[0]) + 1 if bad.size else None
+
+
+def _check_monotonic(name: str, cols: StreamColumns) -> StreamCheck:
+    i = _first_not_increasing(cols["t"])
+    if i is not None:
+        return StreamCheck(
+            name,
+            monotonic_ok=False,
+            detail=f"timestamp not strictly increasing at record {i} (t={int(cols['t'][i])})",
+        )
+    if name == FRAMES_NAME:
+        i = _first_not_increasing(cols["index"])
+        if i is not None:
             return StreamCheck(
                 name,
                 monotonic_ok=False,
-                detail=f"timestamp not strictly increasing at record {i} (t={r.t})",
+                detail=f"frame index not strictly increasing at record {i}",
             )
-        prev_t = r.t
-    if name == FRAMES_NAME:
-        prev_idx = None
-        for i, r in enumerate(records):
-            if prev_idx is not None and r.index <= prev_idx:
-                return StreamCheck(
-                    name,
-                    monotonic_ok=False,
-                    detail=f"frame index not strictly increasing at record {i}",
-                )
-            prev_idx = r.index
     return StreamCheck(name, monotonic_ok=True)
 
 
@@ -165,10 +175,10 @@ def validate_package(package_dir: str | os.PathLike) -> ValidationReport:
 def load_package(package_dir: str | os.PathLike):
     """Validate a package and read it in the same pass.
 
-    Returns ``(report, manifest, streams)``: the validate_package report,
-    the parsed manifest (None when unreadable) and the decoded
-    ``(samples, gps, frames)`` (None unless every stream file exists and
-    decodes). Each stream is decoded once.
+    Returns ``(report, manifest, columns)``: the validate_package report,
+    the parsed manifest (None when unreadable) and the ``StreamColumns``
+    of ``(samples, gps, frames)`` (None unless every stream file exists
+    and decodes). Each stream is decoded once, and no records are built.
     """
     package_dir = Path(package_dir)
     if not package_dir.is_dir():
@@ -202,11 +212,11 @@ def load_package(package_dir: str | os.PathLike):
         if not path.is_file():
             continue  # absence already reported via the blob check
         try:
-            records = decode_jsonl_stream(path.read_bytes(), _STREAM_TYPES[name], name)
+            cols = decode_jsonl_columns(path.read_bytes(), _STREAM_TYPES[name], name)
         except (ParseError, ValidationError) as e:
             report.streams.append(StreamCheck(name, monotonic_ok=False, detail=str(e)))
             continue
-        report.streams.append(_check_monotonic(name, records))
-        streams.append(records)
+        report.streams.append(_check_monotonic(name, cols))
+        streams.append(cols)
 
     return report, manifest, tuple(streams) if len(streams) == len(STREAM_NAMES) else None

@@ -39,7 +39,6 @@ from .model import (
     BlobEntry,
     PackageManifest,
     encode_jsonl_stream,
-    parse_manifest,
     serialize_manifest,
 )
 from .package import (
@@ -49,8 +48,9 @@ from .package import (
     SENSORS_NAME,
     UPLOAD_STATE_NAME,
     ValidationReport,
+    load_package,
     sha256_file,
-    validate_package,
+    validate_package,  # noqa: F401  (looked up here by callers and the benchmark tracer)
 )
 
 DEFAULT_MAX_RETRIES = 5
@@ -313,15 +313,15 @@ def recover(root: str | os.PathLike) -> LibraryIndex:
         error = None
         report = None
         try:
-            report = validate_package(child)
-            if (child / MANIFEST_NAME).is_file():
-                try:
-                    manifest = parse_manifest((child / MANIFEST_NAME).read_bytes())
-                except Exception as e:
-                    error = f"manifest unreadable: {e}"
-            else:
-                error = "manifest.json missing"
-            if not report.valid and error is None:
+            report, manifest = load_package(child)[:2]
+            if manifest is None:
+                # the one problem is "manifest.json missing" or "manifest.json: <why>"
+                problem = report.problems[0]
+                if problem == f"{MANIFEST_NAME} missing":
+                    error = problem
+                else:
+                    error = "manifest unreadable: " + problem.removeprefix(f"{MANIFEST_NAME}: ")
+            elif not report.valid:
                 error = "; ".join(
                     line for line in report.summary_lines() if not line.endswith(": ok")
                 )

@@ -36,16 +36,18 @@ from .kinematics import (
     detect_axis_spikes,
     segment_roughness,
 )
-# read_manifest, read_streams, validate_package and trace_accuracy are
-# re-exported: analyze no longer calls them, but callers and the benchmark
-# tracer look them up on this module
+from .model import StreamColumns
+# read_manifest, read_streams, validate_package, align_streams and
+# trace_accuracy are re-exported: analyze no longer calls them, but callers
+# and the benchmark tracer look them up on this module
 from .package import (  # noqa: F401
     load_package,
     read_manifest,
     read_streams,
     validate_package,
 )
-from .timeline import align_streams
+from .timeline import align_streams  # noqa: F401
+from .timeline import sample_speeds
 
 REPORT_JSON = "report.json"
 SEGMENTS_CSV = "segments.csv"
@@ -59,8 +61,10 @@ FIT_SVG = "fit.svg"
 class AnalysisReport:
     """Everything the report files are derived from.
 
-    The stream-sized fields (samples, gps, snaps) feed the figures and
-    the trace; only the summary fields go into report.json.
+    The stream-sized fields feed the figures and the trace: ``samples``
+    and ``gps`` are the decoded StreamColumns of the package (empty when
+    absent), ``snaps`` one SnapResult per fix. Only the summary fields go
+    into report.json.
     """
 
     package_id: str
@@ -153,6 +157,9 @@ def analyze(package_dir, route=None, reference=None, config: Config | None = Non
     if refs is not None and line is None:
         raise ValueError("a reference IRI file requires a route (chainage comes from snapping)")
 
+    if cfg.frame_tol_ms < 0:
+        raise ValueError(f"frame_tol_ms must be >= 0, got {cfg.frame_tol_ms}")
+
     check, manifest, streams = load_package(package_dir)
     if not check.valid:
         raise ValidationError(
@@ -161,13 +168,9 @@ def analyze(package_dir, route=None, reference=None, config: Config | None = Non
         )
     if streams is None:
         raise FileNotFoundError(f"package has a stream file missing: {package_dir}")
-    samples, gps, frames = streams
+    samples, gps, _ = streams
+    t = samples["t"]
 
-    aligned = align_streams(
-        samples, gps, frames,
-        frame_tol_ms=cfg.frame_tol_ms,
-        gps_max_gap_ms=cfg.gps_max_gap_ms,
-    )
     spikes = detect_axis_spikes(
         samples,
         k=cfg.spike_k,
@@ -175,7 +178,7 @@ def analyze(package_dir, route=None, reference=None, config: Config | None = Non
         merge_gap_ms=cfg.merge_gap_ms,
         min_run=cfg.spike_min_run,
     )
-    bounds = (samples[0].t, samples[-1].t) if samples else (None, None)
+    bounds = (int(t[0]), int(t[-1])) if t.size else (None, None)
     timeline = classify_events(spikes, t_start=bounds[0], t_end=bounds[1])
     # calm stretches are the absence of an event; the report keeps detections
     events = tuple(e for e in timeline if e.kind is not EventKind.CALM)
@@ -184,16 +187,19 @@ def analyze(package_dir, route=None, reference=None, config: Config | None = Non
     segments: tuple = ()
     snaps: tuple = ()
     if line is not None and len(gps) > 0:
-        snaps = tuple(line.snap_many([(f.lat, f.lon) for f in gps]))
+        snaps = tuple(line.snap_many(np.column_stack((gps["lat"], gps["lon"]))))
         gps_accuracy = accuracy_summary(snaps)
         # noise can snap a fix slightly behind its predecessor; chainage
         # used for segmentation must not run backward
         fix_chain = np.maximum.accumulate([s.chainage_m for s in snaps])
-        gps_t = np.asarray([f.t for f in gps], dtype=float)
-        t = np.asarray([r.t for r in aligned], dtype=float)
-        sample_chain = np.interp(t, gps_t, fix_chain)
+        sample_chain = np.interp(t.astype(float), gps["t"].astype(float), fix_chain)
+        rows = StreamColumns({
+            "t": t,
+            "az": samples["az"],
+            "speed_mps": sample_speeds(gps, t, cfg.gps_max_gap_ms),
+        })
         segments = tuple(
-            segment_roughness(aligned, sample_chain, segment_len_m=cfg.segment_len_m)
+            segment_roughness(rows, sample_chain, segment_len_m=cfg.segment_len_m)
         )
 
     fit = None
@@ -213,8 +219,8 @@ def analyze(package_dir, route=None, reference=None, config: Config | None = Non
         fit=fit,
         config=cfg,
         reference_units=units,
-        samples=tuple(samples),
-        gps=tuple(gps),
+        samples=samples,
+        gps=gps,
         snaps=snaps,
     )
 
@@ -238,16 +244,18 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
 
 def _trace_doc(report: AnalysisReport) -> dict:
     features = []
+    gps = report.gps
+    fixes = zip(gps["lon"].tolist(), gps["lat"].tolist(), gps["t"].tolist()) if len(gps) else ()
     if report.snaps:
         coords = []
-        for fix, snap in zip(report.gps, report.snaps):
-            coords.append([fix.lon, fix.lat])
+        for (lon, lat, t), snap in zip(fixes, report.snaps):
+            coords.append([lon, lat])
             features.append(
                 {
                     "type": "Feature",
-                    "geometry": {"type": "Point", "coordinates": [fix.lon, fix.lat]},
+                    "geometry": {"type": "Point", "coordinates": [lon, lat]},
                     "properties": {
-                        "t_ms": fix.t,
+                        "t_ms": t,
                         "chainage_m": snap.chainage_m,
                         "cross_track_m": snap.cross_track_m,
                     },
@@ -264,12 +272,12 @@ def _trace_doc(report: AnalysisReport) -> dict:
             },
         )
     else:
-        for fix in report.gps:
+        for lon, lat, t in fixes:
             features.append(
                 {
                     "type": "Feature",
-                    "geometry": {"type": "Point", "coordinates": [fix.lon, fix.lat]},
-                    "properties": {"t_ms": fix.t},
+                    "geometry": {"type": "Point", "coordinates": [lon, lat]},
+                    "properties": {"t_ms": t},
                 }
             )
     return {"type": "FeatureCollection", "features": features}
@@ -293,19 +301,19 @@ def _accel_svg(report: AnalysisReport) -> str:
         f'<rect x="0" y="0" width="{width:g}" height="{height:g}" fill="white"/>',
     ]
     samples = report.samples
-    if not samples:
+    if len(samples) == 0:
         parts.append(
             f'<text x="{width / 2:g}" y="{height / 2:g}" text-anchor="middle">no samples</text></svg>'
         )
         return "\n".join(parts)
 
-    t = np.asarray([s.t for s in samples], dtype=float)
+    t = samples["t"].astype(float)
     t0, t1 = float(t[0]), float(t[-1])
     t_span = (t1 - t0) or 1.0
-    az = np.asarray([s.az for s in samples])
+    az = samples["az"]
     series = {
-        "ax": np.asarray([s.ax for s in samples]),
-        "ay": np.asarray([s.ay for s in samples]),
+        "ax": samples["ax"],
+        "ay": samples["ay"],
         "az": az - az.mean(),  # remove gravity so one scale fits all three
     }
     lo = min(float(v.min()) for v in series.values())
@@ -335,7 +343,9 @@ def _accel_svg(report: AnalysisReport) -> str:
         f'stroke="#cccccc" stroke-width="1"/>'
     )
     for name, color in _AXIS_COLORS:
-        pts = " ".join(f"{_f(sx(tv))},{_f(sy(v))}" for tv, v in zip(t, series[name]))
+        pts = " ".join(
+            f"{_f(sx(tv))},{_f(sy(v))}" for tv, v in zip(t.tolist(), series[name].tolist())
+        )
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1"/>'
         )

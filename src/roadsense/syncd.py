@@ -176,11 +176,16 @@ class Registry:
                 return 200, self._session_doc(existing)
             pkg_dir = self.packages_dir / manifest.package_id
             pkg_dir.mkdir(parents=True, exist_ok=True)
+            # write-temp-then-rename: a crash mid-write leaves at most a
+            # stray manifest.json.tmp, which boot ignores and a re-POST
+            # overwrites, never a torn manifest.json that blocks boot
             data = serialize_manifest(manifest) + b"\n"
-            with open(pkg_dir / "manifest.json", "wb") as f:
+            tmp = pkg_dir / "manifest.json.tmp"
+            with open(tmp, "wb") as f:
                 f.write(data)
                 f.flush()
                 os.fsync(f.fileno())
+            os.replace(tmp, pkg_dir / "manifest.json")
             pkg = ServerPackage(manifest=manifest)
             self.packages[manifest.package_id] = pkg
             for blob in manifest.blobs:

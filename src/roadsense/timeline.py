@@ -3,18 +3,20 @@
 A TimeIndex is a binary-searchable view over one timestamped stream.
 ``align_streams`` fuses the three package streams into one row per IMU
 sample: interpolated GPS position, a speed estimate, and the nearest
-frame reference within tolerance.
+frame reference within tolerance. ``sample_speeds`` gives the same speed
+estimates as one array, straight from the GPS columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .geo import haversine
-from .model import FrameRef, GpsFix, SensorSample
+from .model import FrameRef, GpsFix, SensorSample, StreamColumns, columns_from_records
 
 DEFAULT_FRAME_TOL_MS = 50      # half of a 10 fps frame period
 DEFAULT_GPS_MAX_GAP_MS = 5000  # bracketing fixes further apart fabricate nothing
@@ -155,65 +157,71 @@ def align_streams(
     gps_idx = gps if isinstance(gps, TimeIndex) else TimeIndex(gps)
     frame_idx = frames if isinstance(frames, TimeIndex) else TimeIndex(frames)
 
-    sample_items = sample_idx.items
     t = sample_idx.timestamps
-    positions, gps_speeds = _gps_at(gps_idx, t, gps_max_gap_ms)
+    lat, lon, located, speed = _gps_at(columns_from_records(gps_idx.items, GpsFix), t, gps_max_gap_ms)
+    speed = _fill_finite_difference(t, lat, lon, located, speed)
+    positions = [
+        (a, b) if ok else None
+        for ok, a, b in zip(located.tolist(), lat.tolist(), lon.tolist())
+    ]
     frame_items = frame_idx.items
     frame_pos = frame_idx.nearest_positions(t, frame_tol_ms).tolist()
-
-    records = []
-    n = len(sample_items)
-    for i, (s, speed, j) in enumerate(zip(sample_items, gps_speeds, frame_pos)):
-        if speed is None:
-            speed = _finite_difference_speed(sample_items, positions, i, n)
-        records.append(
-            AlignedRecord(
-                t=s.t,
-                sample=s,
-                position=positions[i],
-                speed_mps=speed,
-                frame=frame_items[j] if j >= 0 else None,
-            )
+    return [
+        AlignedRecord(
+            t=s.t,
+            sample=s,
+            position=p,
+            speed_mps=None if math.isnan(v) else v,
+            frame=frame_items[j] if j >= 0 else None,
         )
-    return records
+        for s, p, v, j in zip(sample_idx.items, positions, speed.tolist(), frame_pos)
+    ]
 
 
-def _gps_at(gps: TimeIndex, t: np.ndarray, max_gap_ms: int):
-    """Interpolated positions and GPS-field speeds at times *t*, as lists
-    holding None where there is no position, or no speed on both
-    bracketing fixes."""
-    fixes = gps.items
-    if not fixes:
-        return [None] * t.size, [None] * t.size
-    lat = np.asarray([f.lat for f in fixes])
-    lon = np.asarray([f.lon for f in fixes])
-    has_speed = np.asarray([f.speed_mps is not None for f in fixes])
-    speed = np.asarray([0.0 if f.speed_mps is None else f.speed_mps for f in fixes])
+def sample_speeds(gps: StreamColumns, t: np.ndarray, max_gap_ms: int) -> np.ndarray:
+    """Speed (m/s) at each sample time *t*, NaN where none is known: the
+    speeds align_streams gives, from the GPS columns."""
+    lat, lon, located, speed = _gps_at(gps, t, max_gap_ms)
+    return _fill_finite_difference(t, lat, lon, located, speed)
 
-    exact, inside, left, w = _bracket(gps.timestamps, t, max_gap_ms)
-    right = np.minimum(left + 1, len(fixes) - 1)
 
-    def at(values: np.ndarray) -> list:
+def _gps_at(gps: StreamColumns, t: np.ndarray, max_gap_ms: int):
+    """``(lat, lon, located, speed)`` at times *t*: interpolated position,
+    a mask of the times that have one, and the interpolated GPS-field
+    speed, NaN where a bracketing fix has no speed."""
+    n = len(gps)
+    if n == 0:
+        nan = np.full(t.shape, np.nan)
+        return nan, nan, np.zeros(t.shape, dtype=bool), nan
+    exact, inside, left, w = _bracket(gps["t"], t, max_gap_ms)
+    right = np.minimum(left + 1, n - 1)
+
+    def at(values: np.ndarray) -> np.ndarray:
         interpolated = values[left] + w * (values[right] - values[left])
-        return np.where(exact, values[left], interpolated).tolist()
+        return np.where(exact, values[left], interpolated)
 
-    located = (exact | inside).tolist()
-    positions = [p if ok else None for ok, p in zip(located, zip(at(lat), at(lon)))]
-    with_speed = (exact & has_speed[left] | inside & has_speed[left] & has_speed[right]).tolist()
-    speeds = [v if ok else None for ok, v in zip(with_speed, at(speed))]
-    return positions, speeds
+    has = gps["has_speed_mps"]
+    with_speed = exact & has[left] | inside & has[left] & has[right]
+    speed = np.where(with_speed, at(np.where(has, gps["speed_mps"], 0.0)), np.nan)
+    return at(gps["lat"]), at(gps["lon"]), exact | inside, speed
 
 
-def _finite_difference_speed(samples, positions, i, n) -> Optional[float]:
-    # central difference where both neighbors have positions; one-sided at ends
-    lo = i - 1 if i > 0 else i
-    hi = i + 1 if i < n - 1 else i
-    if lo == hi:
-        return None
-    p0, p1 = positions[lo], positions[hi]
-    if p0 is None or p1 is None:
-        return None
-    dt_s = (samples[hi].t - samples[lo].t) / 1000.0
-    if dt_s <= 0:
-        return None
-    return haversine(p0, p1) / dt_s
+def _fill_finite_difference(t, lat, lon, located, speed) -> np.ndarray:
+    """*speed* with each NaN replaced, where possible, by the central
+    difference of the neighbors' positions (one-sided at the ends).
+
+    The neighbors are picked with array operations; the distance is the
+    scalar ``haversine``, so results match it to the bit.
+    """
+    n = t.size
+    i = np.arange(n)
+    lo = np.maximum(i - 1, 0)
+    hi = np.minimum(i + 1, n - 1)
+    dt_s = (t[hi] - t[lo]) / 1000.0
+    fill = np.isnan(speed) & (lo != hi) & located[lo] & located[hi] & (dt_s > 0)
+    out = speed.copy()
+    for k in np.flatnonzero(fill).tolist():
+        a, b = lo[k], hi[k]
+        d = haversine((float(lat[a]), float(lon[a])), (float(lat[b]), float(lon[b])))
+        out[k] = d / float(dt_s[k])
+    return out

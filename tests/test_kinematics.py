@@ -22,7 +22,7 @@ from roadsense.kinematics import (
     segment_roughness,
     sliding_rms,
 )
-from roadsense.model import SensorSample
+from roadsense.model import SensorSample, StreamColumns, columns_from_records
 from roadsense.timeline import AlignedRecord
 
 
@@ -354,3 +354,39 @@ def test_segment_validation():
     with pytest.raises(ValueError):
         segment_roughness(rows2, [5.0, 4.0])
     assert segment_roughness([], []) == []
+
+
+# -- columns and records give the same results --------------------------------------------
+
+
+_accel = st.floats(min_value=-30.0, max_value=30.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 60), _accel, _accel, _accel), min_size=0, max_size=80),
+    st.sampled_from([200, 1000]),
+)
+def test_spike_scoring_on_columns_matches_records(rows, window_ms):
+    t = np.cumsum([dt for dt, *_ in rows]).tolist()
+    samples = [SensorSample(t=ti, ax=x, ay=y, az=z, gx=0.0, gy=0.0, gz=0.0)
+               for ti, (_, x, y, z) in zip(t, rows)]
+    cols = columns_from_records(samples, SensorSample)
+    for axis in ("x", "y", "z"):
+        assert robust_scores(cols, axis, window_ms).tobytes() == robust_scores(samples, axis, window_ms).tobytes()
+    assert detect_axis_spikes(cols, k=2.0, window_ms=window_ms) == detect_axis_spikes(samples, k=2.0, window_ms=window_ms)
+    assert sliding_rms(cols, window_ms=window_ms) == sliding_rms(samples, window_ms=window_ms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_accel, st.one_of(st.none(), st.floats(0.0, 40.0)), st.floats(0.0, 30.0)),
+                min_size=1, max_size=60))
+def test_segment_roughness_on_columns_matches_records(rows):
+    records, chain = aligned([a for a, _, _ in rows], np.cumsum([d for *_, d in rows]).tolist(),
+                             speeds=[s for _, s, _ in rows])
+    cols = StreamColumns({
+        "t": np.asarray([r.t for r in records], dtype=np.int64),
+        "az": np.asarray([r.sample.az for r in records]),
+        "speed_mps": np.asarray([np.nan if r.speed_mps is None else r.speed_mps for r in records]),
+    })
+    assert segment_roughness(cols, chain, segment_len_m=50.0) == segment_roughness(records, chain, segment_len_m=50.0)

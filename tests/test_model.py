@@ -1,12 +1,16 @@
 """Manifest and stream-record model: round trips, canonical bytes, validation."""
 
 import json
+import math
 import uuid
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roadsense import model
 from roadsense.errors import ParseError, UnsupportedVersionError, ValidationError
 from roadsense.model import (
     BlobEntry,
@@ -14,6 +18,7 @@ from roadsense.model import (
     GpsFix,
     PackageManifest,
     SensorSample,
+    decode_jsonl_columns,
     decode_jsonl_stream,
     encode_jsonl_stream,
     parse_manifest,
@@ -199,3 +204,218 @@ def test_decode_jsonl_reports_bad_line():
     # blank lines are tolerated
     data = b'\n{"t":0,"ax":0,"ay":0,"az":0,"gx":0,"gy":0,"gz":0}\n\n'
     assert len(decode_jsonl_stream(data, SensorSample, "sensors.jsonl")) == 1
+
+
+# -- column decoding against the record decoder ---------------------------------------
+
+# kind of every field, as the record types define them
+STREAM_FIELDS = {
+    SensorSample: {"t": "int", "ax": "float", "ay": "float", "az": "float",
+                   "gx": "float", "gy": "float", "gz": "float"},
+    GpsFix: {"t": "int", "lat": "float", "lon": "float", "alt_m": "float",
+             "speed_mps": "optional", "h_acc_m": "optional"},
+    FrameRef: {"t": "int", "index": "int", "file": "str"},
+}
+_DTYPES = {"int": np.int64, "float": np.float64, "optional": np.float64}
+
+
+def oracle_columns(records, cls) -> dict:
+    """The columns of decoded records, built field by field."""
+    cols = {}
+    for name, kind in STREAM_FIELDS[cls].items():
+        values = [getattr(r, name) for r in records]
+        if kind == "str":
+            cols[name] = values
+        elif kind == "optional":
+            cols[name] = np.array([np.nan if v is None else v for v in values], dtype=np.float64)
+            cols["has_" + name] = np.array([v is not None for v in values], dtype=bool)
+        else:
+            cols[name] = np.array(values, dtype=_DTYPES[kind])
+    return cols
+
+
+def assert_columns_equal(got, want: dict):
+    assert sorted(got.fields) == sorted(want)
+    for name, w in want.items():
+        g = got[name]
+        if isinstance(w, list):
+            assert g == w, name
+        else:
+            assert g.dtype == w.dtype, name
+            assert np.array_equal(g, w, equal_nan=True), name
+            assert g.tobytes() == w.tobytes(), name  # -0.0 and NaN bits too
+
+
+def outcome(decode):
+    """("ok", result) or ("raised", type, message, offset)."""
+    try:
+        return ("ok", decode())
+    except Exception as e:  # noqa: BLE001 - the exception is the outcome
+        return ("raised", type(e), str(e), getattr(e, "offset", None))
+
+
+def assert_same_outcome(data: bytes, cls, name: str):
+    want = outcome(lambda: decode_jsonl_stream(data, cls, name))
+    got = outcome(lambda: decode_jsonl_columns(data, cls, name))
+    if want[0] == "ok":
+        assert got[0] == "ok", got
+        assert_columns_equal(got[1], oracle_columns(want[1], cls))
+    else:
+        assert got == want
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_stream_t = st.integers(min_value=0, max_value=2**63 - 1)
+_optional = st.one_of(st.none(), st.floats(min_value=0.0, allow_infinity=False))
+_record_strategies = {
+    SensorSample: st.builds(SensorSample, t=_stream_t, ax=_finite, ay=_finite, az=_finite,
+                            gx=_finite, gy=_finite, gz=_finite),
+    GpsFix: st.builds(GpsFix, t=_stream_t, lat=st.floats(min_value=-90.0, max_value=90.0),
+                      lon=st.floats(min_value=-180.0, max_value=180.0), alt_m=_finite,
+                      speed_mps=_optional, h_acc_m=_optional),
+    FrameRef: st.builds(FrameRef, t=_stream_t, index=st.integers(min_value=0, max_value=2**63 - 1),
+                        file=_blob_name),
+}
+_STREAM_NAME = {SensorSample: "sensors.jsonl", GpsFix: "gps.jsonl", FrameRef: "frames.jsonl"}
+
+
+@st.composite
+def stream_docs(draw, min_size=0, classes=tuple(STREAM_FIELDS)):
+    """(record class, one JSON object per line): valid records, some
+    written the way other writers might (integral floats as ints, extra
+    keys, spaced separators, null optionals)."""
+    cls = draw(st.sampled_from(classes))
+    records = draw(st.lists(_record_strategies[cls], min_size=min_size, max_size=12))
+    docs = []
+    for r in records:
+        doc = json.loads(r.to_jsonl())
+        for name, kind in STREAM_FIELDS[cls].items():
+            v = doc.get(name)
+            if kind in ("float", "optional") and isinstance(v, float) and v.is_integer() \
+                    and abs(v) < 2**53 and draw(st.booleans()):
+                doc[name] = int(v)
+            if kind == "optional" and v is None and draw(st.booleans()):
+                doc[name] = None
+        if draw(st.booleans()):
+            doc["extra"] = draw(st.sampled_from([1, "x", [1, 2], {"k": None}]))
+        docs.append(doc)
+    return cls, docs
+
+
+def render(docs, draw) -> list[bytes]:
+    sep = draw(st.sampled_from([(",", ":"), (", ", ": ")]))
+    lines = [json.dumps(d, separators=sep, ensure_ascii=draw(st.booleans())).encode() for d in docs]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), b"")
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_decode_jsonl_columns_match_the_records_on_valid_streams(data):
+    cls, docs = data.draw(stream_docs())
+    raw = b"\n".join(render(docs, data.draw)) + data.draw(st.sampled_from([b"", b"\n"]))
+    records = decode_jsonl_stream(raw, cls, _STREAM_NAME[cls])
+    # a valid stream is decoded without building records
+    with mock.patch.object(model, "decode_jsonl_stream", side_effect=AssertionError("fell back")):
+        cols = decode_jsonl_columns(raw, cls, _STREAM_NAME[cls])
+    assert_columns_equal(cols, oracle_columns(records, cls))
+
+
+def _set(field_value):
+    def mutate(doc, cls, draw):
+        name = draw(st.sampled_from(sorted(STREAM_FIELDS[cls])))
+        doc[name] = field_value(draw)
+        return json.dumps(doc, allow_nan=True).encode()
+    return mutate
+
+
+def _drop_field(doc, cls, draw):
+    del doc[draw(st.sampled_from(sorted(doc)))]
+    return json.dumps(doc).encode()
+
+
+def _set_named(names, values):
+    def mutate(doc, cls, draw):
+        present = [n for n in names if n in STREAM_FIELDS[cls]]
+        if present:
+            doc[draw(st.sampled_from(present))] = draw(st.sampled_from(values))
+        return json.dumps(doc, allow_nan=True).encode()
+    return mutate
+
+
+ALL = (SensorSample, GpsFix, FrameRef)
+
+# kind -> (record classes it applies to, mutation); a mutation takes
+# (decoded doc, record class, draw) and returns the line that replaces it
+LINE_MUTATIONS = {
+    "torn": (ALL, lambda doc, cls, draw: (lambda b: b[: draw(st.integers(0, len(b) - 1))])(
+        json.dumps(doc).encode())),
+    "non-object": (ALL, lambda doc, cls, draw: draw(st.sampled_from([b"[1, 2]", b"3", b'"x"', b"null", b"[]"]))),
+    "two objects": (ALL, lambda doc, cls, draw: json.dumps(doc).encode()
+                    + draw(st.sampled_from([b" ", b",", b""])) + json.dumps(doc).encode()),
+    "missing field": (ALL, _drop_field),
+    "bool": (ALL, _set(lambda draw: draw(st.booleans()))),
+    "string number": (ALL, _set(lambda draw: draw(st.sampled_from(["1.5", "7", " 2 ", "nan", "inf", "x"])))),
+    "nan or inf": (ALL, _set(lambda draw: draw(st.sampled_from([math.nan, math.inf, -math.inf])))),
+    "nan or inf optional": ((GpsFix,), _set_named(("speed_mps", "h_acc_m"), [math.nan, math.inf])),
+    "bool where int": (ALL, _set_named(("t", "index"), [True, False])),
+    "huge float literal": ((SensorSample,), lambda doc, cls, draw: json.dumps(doc).encode().replace(
+        b"}", b', "ax": 1e999}')),
+    "int beyond float": ((SensorSample, GpsFix), _set_named(("ax", "lat", "alt_m", "speed_mps"), [10**400])),
+    "out-of-range lat/lon": ((GpsFix,), _set_named(("lat", "lon"), [90.0001, -91.0, 180.5, -1e9])),
+    "negative": (ALL, _set_named(("speed_mps", "h_acc_m", "t", "index"), [-1, -0.5, -(2**70)])),
+    "float where int": (ALL, _set_named(("t", "index"), [1.0, 2.5])),
+    "bad frame path": ((FrameRef,), _set_named(("file",), ["/abs.jpg", "a/../b", "", "a\\b", "./x", "a//b", 5, None])),
+    "invalid utf-8": (ALL, lambda doc, cls, draw: (lambda b, k: b[:k] + b"\xff" + b[k:])(
+        json.dumps(doc).encode(), draw(st.integers(0, len(json.dumps(doc)))))),
+    "whitespace only": (ALL, lambda doc, cls, draw: draw(st.sampled_from([b" ", b"\t", b"\r", b"   "]))),
+    "padded": (ALL, lambda doc, cls, draw: draw(st.sampled_from([b" ", b"\t", b""])) + json.dumps(doc).encode()
+               + draw(st.sampled_from([b" ", b"\r", b"\t\r"]))),
+    "split across lines": (ALL, lambda doc, cls, draw: (lambda b, k: b[:k] + b"\n" + b[k:])(
+        json.dumps(doc).encode(), draw(st.integers(1, len(json.dumps(doc)) - 1)))),
+    "non-ascii string": ((FrameRef,), _set_named(("file",), ["frames/é.jpg", "ü"])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LINE_MUTATIONS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_decode_jsonl_columns_match_the_records_on_mutated_streams(kind, data):
+    classes, mutate = LINE_MUTATIONS[kind]
+    cls, docs = data.draw(stream_docs(min_size=1, classes=classes))
+    lines = render(docs, data.draw)
+    at = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line]))
+    lines[at] = mutate(json.loads(lines[at]), cls, data.draw)
+    raw = b"\n".join(lines) + b"\n"
+    assert_same_outcome(raw, cls, _STREAM_NAME[cls])
+
+
+def test_lines_that_only_parse_when_joined_fall_back_to_the_record_errors():
+    # joined with commas into one array these read as three objects, but no
+    # line is one object on its own
+    lines = [b'{"t":1,"a":[{}', b'{}]}', b'{},{}']
+    assert_same_outcome(b"\n".join(lines) + b"\n", FrameRef, "frames.jsonl")
+    lines = [b'{"t":1,"index":0,"file":"x},{"}', b'{},{}']
+    assert_same_outcome(b"\n".join(lines) + b"\n", FrameRef, "frames.jsonl")
+
+
+def test_decode_jsonl_columns_of_an_empty_stream():
+    for cls in STREAM_FIELDS:
+        for raw in (b"", b"\n", b"\n\n"):
+            cols = decode_jsonl_columns(raw, cls, _STREAM_NAME[cls])
+            assert len(cols) == 0
+            assert_columns_equal(cols, oracle_columns([], cls))
+
+
+@pytest.mark.parametrize("cls, line", [
+    (SensorSample, b'{"t":9223372036854775808,"ax":0,"ay":0,"az":0,"gx":0,"gy":0,"gz":0}'),
+    (FrameRef, b'{"t":5,"index":99999999999999999999,"file":"f.jpg"}'),
+])
+def test_an_integer_beyond_int64_is_a_validation_error_naming_the_line(cls, line):
+    ok = {SensorSample: b'{"t":0,"ax":0,"ay":0,"az":0,"gx":0,"gy":0,"gz":0}',
+          FrameRef: b'{"t":0,"index":0,"file":"f.jpg"}'}[cls]
+    raw = ok + b"\n\n" + line + b"\n"
+    assert len(decode_jsonl_stream(raw, cls, "s.jsonl")) == 2  # records take any int
+    with pytest.raises(ValidationError, match="s.jsonl: .* beyond the int64 range at line 3"):
+        decode_jsonl_columns(raw, cls, "s.jsonl")

@@ -6,7 +6,8 @@ import pytest
 from conftest import make_frames, make_gps, make_samples
 from fakes import DroppyService, FakeSyncService, Killed, KillSwitch
 
-from roadsense.errors import StateMachineError
+from roadsense import model, package, packstore
+from roadsense.errors import ParseError, StateMachineError
 from roadsense.packstore import (
     ServerRejected,
     Uploader,
@@ -165,6 +166,39 @@ def test_recover_skips_dot_directories(tmp_path):
     partial.mkdir()
     (partial / "sensors.jsonl").write_bytes(b"torn")
     assert list(recover(tmp_path).entries) == [manifest.package_id]
+
+
+def test_recover_parses_each_manifest_once(tmp_path, monkeypatch):
+    for _ in range(3):
+        build_package(tmp_path)
+    calls = []
+    real = model.parse_manifest
+
+    def counting(data):
+        calls.append(1)
+        return real(data)
+
+    for mod in (model, package, packstore):
+        if hasattr(mod, "parse_manifest"):
+            monkeypatch.setattr(mod, "parse_manifest", counting)
+    index = recover(tmp_path)
+    assert all(e.ok for e in index)
+    assert len(calls) == 3
+
+
+def test_recover_reports_missing_and_unreadable_manifests(tmp_path):
+    missing_dir, _ = build_package(tmp_path)
+    (missing_dir / "manifest.json").unlink()
+    broken_dir, _ = build_package(tmp_path)
+    (broken_dir / "manifest.json").write_bytes(b'{"schema_version": 1, "blobs": [')
+    try:
+        model.parse_manifest((broken_dir / "manifest.json").read_bytes())
+    except ParseError as e:
+        why = str(e)
+    index = recover(tmp_path)
+    assert index.entries[missing_dir.name].error == "manifest.json missing"
+    assert index.entries[broken_dir.name].error == f"manifest unreadable: {why}"
+    assert not any(e.ok for e in index)
 
 
 def test_recover_missing_root(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from roadsense.canonical import dumps_canonical
 from roadsense.config import Config
-from roadsense import package
+from roadsense import model, package
 from roadsense.drivesim import default_route, default_scenario, score_detections, write_package
 from roadsense.errors import ValidationError
 from roadsense.geo import Polyline, ReferenceIriRecord
@@ -224,19 +224,27 @@ def test_fixed_drive_report_bytes_are_pinned(fixed_drive, tmp_path):
 
 def test_routed_analyze_decodes_and_snaps_once(fixed_drive, monkeypatch):
     pkg_dir, route, ref = fixed_drive
-    decoded, snapped = [], []
-    decode, snap_many = package.decode_jsonl_stream, Polyline.snap_many
+    decoded, record_decodes, snapped = [], [], []
+    decode, record_decode = package.decode_jsonl_columns, model.decode_jsonl_stream
+    snap_many = Polyline.snap_many
 
     def counting_decode(data, record_cls, stream_name):
         decoded.append(stream_name)
         return decode(data, record_cls, stream_name)
 
+    def counting_record_decode(data, record_cls, stream_name):
+        record_decodes.append(stream_name)
+        return record_decode(data, record_cls, stream_name)
+
     def counting_snap(self, points):
         snapped.append(len(points))
         return snap_many(self, points)
 
-    monkeypatch.setattr(package, "decode_jsonl_stream", counting_decode)
+    monkeypatch.setattr(package, "decode_jsonl_columns", counting_decode)
+    for mod in (package, model):
+        monkeypatch.setattr(mod, "decode_jsonl_stream", counting_record_decode)
     monkeypatch.setattr(Polyline, "snap_many", counting_snap)
     analyze(pkg_dir, route=route, reference=ref)
     assert sorted(decoded) == sorted(package.STREAM_NAMES)
+    assert record_decodes == []
     assert len(snapped) == 1

@@ -1,5 +1,6 @@
 """Sync service: registry semantics, wire protocol, durability, event stream."""
 
+import builtins
 import hashlib
 import http.client
 import json
@@ -7,9 +8,11 @@ import socket
 import statistics
 import time
 import uuid
+from pathlib import Path
 
 import pytest
 
+from roadsense import syncd
 from roadsense.canonical import dumps_canonical
 from roadsense.model import BlobEntry, PackageManifest, serialize_manifest
 from roadsense.packstore import OffsetMismatch, ServerRejected
@@ -222,6 +225,52 @@ def test_replay_refuses_a_corrupt_terminated_line(tmp_path, bad_line):
     with pytest.raises(RuntimeError, match="line 2 is corrupt"):
         Registry(tmp_path)
     assert log_path.read_bytes() == intact + bad_line + b"\n"  # left for the operator
+
+
+def test_torn_manifest_write_leaves_a_bootable_registry(tmp_path, monkeypatch):
+    reg, _ = committed_registry(tmp_path, 1)
+    manifest, payloads = wire_package()
+    real_open = builtins.open
+
+    class TornFile:
+        """Writes half of what it is given, then fails like a crash would."""
+
+        def __init__(self, f):
+            self._f = f
+
+        def write(self, data):
+            self._f.write(data[: len(data) // 2])
+            self._f.flush()
+            raise OSError("injected crash in mid-write")
+
+        def __getattr__(self, name):
+            return getattr(self._f, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._f.close()
+
+    def torn_open(path, mode="r", *args, **kwargs):
+        f = real_open(path, mode, *args, **kwargs)
+        if Path(path).name.startswith("manifest.json") and "w" in mode:
+            return TornFile(f)
+        return f
+
+    monkeypatch.setattr(syncd, "open", torn_open, raising=False)
+    with pytest.raises(OSError, match="injected"):
+        reg.create_package(manifest)
+    monkeypatch.undo()
+
+    reborn = Registry(tmp_path)
+    assert manifest.package_id not in reborn.packages
+    assert reborn.snapshot_events() == reg.snapshot_events()
+    assert reborn.create_package(manifest)[0] == 201
+    push_all(reborn, manifest, payloads)
+    assert reborn.commit(manifest.package_id)[0].commit_seq == 2
+    replayed = Registry(tmp_path).packages[manifest.package_id]
+    assert replayed.committed and replayed.manifest == manifest
 
 
 def listing_at_parent(reg, since_seq):

@@ -2,17 +2,19 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_frames, make_gps, make_samples
 from roadsense.geo import haversine
-from roadsense.model import FrameRef, GpsFix, SensorSample
+from roadsense.model import FrameRef, GpsFix, SensorSample, columns_from_records
 from roadsense.timeline import (
     TimeIndex,
     align_streams,
     interpolate_position,
+    sample_speeds,
 )
 
 
@@ -277,3 +279,13 @@ def test_align_matches_scalar_oracles(streams):
         assert row.speed_mps == speed
         near = oracle_nearest(frame_ts, s.t, tol)
         assert (row.frame.t if row.frame else None) == near
+
+
+@settings(max_examples=200, deadline=None)
+@given(_streams())
+def test_sample_speeds_match_the_scalar_oracle(streams):
+    samples, gps, _, _, max_gap = streams
+    t = np.asarray([s.t for s in samples], dtype=np.int64)
+    got = sample_speeds(columns_from_records(gps, GpsFix), t, max_gap)
+    want = [np.nan if v is None else v for v in oracle_speeds(samples, gps, max_gap)]
+    assert got.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
