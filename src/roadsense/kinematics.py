@@ -22,9 +22,9 @@ handful of distinct widths, so a whole stream costs a few vectorized
 medians instead of two per sample, bit-identical to the per-window
 computation.
 
-Every function here takes the samples either as decoded
-``StreamColumns`` or as a sequence of ``SensorSample`` records; records
-are turned into columns once per call.
+Every function here takes the samples as decoded ``StreamColumns``, the
+form ``package.load_package`` gives; the record types stay at the edges
+(see ``model``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .model import SensorSample, StreamColumns, columns_from_records
+from .model import StreamColumns
 
 MAD_SCALE = 1.4826  # makes MAD consistent with stddev for Gaussian noise
 
@@ -73,23 +73,15 @@ class RmsSeries:
     points: tuple[RmsPoint, ...]
 
 
-def _columns(samples) -> StreamColumns:
-    """*samples* as columns: decoded columns as they are, records
-    converted once."""
-    if isinstance(samples, StreamColumns):
-        return samples
-    return columns_from_records(samples, SensorSample)
-
-
-def _channel(samples, axis: str) -> np.ndarray:
+def _channel(samples: StreamColumns, axis: str) -> np.ndarray:
     attr = ACCEL_CHANNELS.get(axis, axis)
     if attr not in ("ax", "ay", "az"):
         raise ValueError(f"unknown axis {axis!r}; expected x, y or z")
-    return _columns(samples)[attr]
+    return samples[attr]
 
 
 def sliding_rms(
-    samples: Sequence,
+    samples: StreamColumns,
     axis: str = "z",
     window_ms: int = DEFAULT_WINDOW_MS,
     hop_ms: int = DEFAULT_HOP_MS,
@@ -106,9 +98,8 @@ def sliding_rms(
         raise ValueError("window_ms and hop_ms must be > 0")
     if len(samples) == 0:
         return RmsSeries(window_ms, hop_ms, ())
-    cols = _columns(samples)
-    ts = cols["t"]
-    x = _channel(cols, axis)
+    ts = samples["t"]
+    x = _channel(samples, axis)
     points = []
     start = int(ts[0])
     last = int(ts[-1])
@@ -142,7 +133,7 @@ class SpikeEvent:
 
 
 def robust_scores(
-    samples: Sequence,
+    samples: StreamColumns,
     axis: str,
     window_ms: int = DEFAULT_WINDOW_MS,
     scale_floor: float = 0.0,
@@ -153,9 +144,8 @@ def robust_scores(
     ``scale_floor`` bounds the denominator from below; 0 keeps the pure
     per-window statistic.
     """
-    cols = _columns(samples)
-    ts = cols["t"]
-    x = _channel(cols, axis)
+    ts = samples["t"]
+    x = _channel(samples, axis)
     n = x.size
     if n == 0:
         return np.zeros(0)
@@ -185,7 +175,7 @@ def robust_scores(
     return scores
 
 
-def _global_scale(samples: Sequence, axis: str) -> float:
+def _global_scale(samples: StreamColumns, axis: str) -> float:
     """Whole-stream robust scale of one channel (MAD about the median)."""
     x = _channel(samples, axis)
     if x.size == 0:
@@ -203,7 +193,7 @@ def _runs_at_least(mask: np.ndarray, min_run: int) -> list[tuple[int, int]]:
 
 
 def detect_axis_spikes(
-    samples: Sequence,
+    samples: StreamColumns,
     k: float = DEFAULT_SPIKE_K,
     window_ms: int = DEFAULT_WINDOW_MS,
     merge_gap_ms: int = DEFAULT_MERGE_GAP_MS,
@@ -226,13 +216,12 @@ def detect_axis_spikes(
         raise ValueError(f"k must be > 0, got {k}")
     if len(samples) == 0:
         return []
-    cols = _columns(samples)
-    ts = cols["t"]
+    ts = samples["t"]
 
     excursions = []  # (t_start, t_end, axis, peak)
     for axis in ("x", "y", "z"):
         scores = robust_scores(
-            cols, axis, window_ms, scale_floor=_global_scale(cols, axis)
+            samples, axis, window_ms, scale_floor=_global_scale(samples, axis)
         )
         mask = np.abs(scores) >= k
         for i, j in _runs_at_least(mask, min_run):
@@ -327,16 +316,15 @@ class SegmentReport:
 
 
 def segment_roughness(
-    aligned: Sequence,
+    aligned: StreamColumns,
     chainage: Sequence[float],
     segment_len_m: float = DEFAULT_SEGMENT_LEN_M,
 ) -> list[SegmentReport]:
-    """Partition records by chainage into fixed [i*L, (i+1)*L) cells and
+    """Partition samples by chainage into fixed [i*L, (i+1)*L) cells and
     report per-cell RMS of detrended vertical acceleration plus mean speed.
 
-    *aligned* is a sequence of AlignedRecords, or StreamColumns with an
-    ``az`` column and a ``speed_mps`` column that is NaN where the speed
-    is unknown.
+    *aligned* holds an ``az`` column and a ``speed_mps`` column that is
+    NaN where the speed is unknown, as ``timeline.align_streams`` gives.
 
     Cells up to the last occupied one are all emitted, empty ones with
     n_samples = 0.
@@ -350,11 +338,7 @@ def segment_roughness(
     c = np.asarray(chainage, dtype=float)
     if np.any(np.diff(c) < 0):
         raise ValueError("chainage must be nondecreasing")
-    if isinstance(aligned, StreamColumns):
-        az, speed = aligned["az"], aligned["speed_mps"]
-    else:
-        az = np.asarray([r.sample.az for r in aligned], dtype=float)
-        speed = np.asarray([np.nan if r.speed_mps is None else r.speed_mps for r in aligned])
+    az, speed = aligned["az"], aligned["speed_mps"]
     has_speed = ~np.isnan(speed)
 
     n_cells = int(np.floor(c[-1] / segment_len_m)) + 1

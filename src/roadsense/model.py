@@ -7,12 +7,14 @@ lives only in the manifest. Units are SI throughout: m/s² for
 acceleration, rad/s for angular rate, meters and m/s for GPS.
 
 A stream has two decoded forms. ``decode_jsonl_columns`` gives
-``StreamColumns``, one numpy array per field; validation and analysis
-work on these. ``decode_jsonl_stream`` gives a list of records
-(``SensorSample``, ``GpsFix``, ``FrameRef``), the API at the edges: the
-``query`` command, package creation and the simulator. Both accept and
-reject the same bytes, except that the columns also refuse an integer
-beyond int64.
+``StreamColumns``, one numpy array per field; validation and the whole
+analysis core (``timeline.align_streams``, ``kinematics``, ``report``)
+work on these only. ``decode_jsonl_stream`` gives a list of records
+(``SensorSample``, ``GpsFix``, ``FrameRef``), the API at the edges:
+``package.read_stream`` and the ``query`` command, ``TimeIndex``,
+``packstore.create_package`` and the simulator; it is also the error
+oracle of the column decoder. Both accept and reject the same bytes,
+except that the columns also refuse an integer beyond int64.
 
 The records are immutable values whose invariants are checked at
 construction, and they are the one statement of those invariants: the

@@ -1,8 +1,9 @@
 """Analysis pipeline and static report emission.
 
-``analyze`` runs a validated package through alignment, spike detection,
-event classification, and (when a route is supplied) chainage snapping,
-per-segment roughness, reference joining, and fit metrics. ``emit_report``
+``analyze`` runs a validated package through spike detection, event
+classification, and (when a route is supplied) chainage snapping,
+alignment, per-segment roughness, reference joining, and fit metrics.
+The streams stay decoded numpy columns throughout. ``emit_report``
 writes the result as machine-readable files plus two standalone SVG
 figures; report.json is canonical JSON so identical inputs produce
 identical bytes.
@@ -36,18 +37,16 @@ from .kinematics import (
     detect_axis_spikes,
     segment_roughness,
 )
-from .model import StreamColumns
-# read_manifest, read_streams, validate_package, align_streams and
-# trace_accuracy are re-exported: analyze no longer calls them, but callers
-# and the benchmark tracer look them up on this module
+# read_manifest, read_streams, validate_package and trace_accuracy are
+# re-exported: analyze no longer calls them, but callers and the benchmark
+# tracer look them up on this module
 from .package import (  # noqa: F401
     load_package,
     read_manifest,
     read_streams,
     validate_package,
 )
-from .timeline import align_streams  # noqa: F401
-from .timeline import sample_speeds
+from .timeline import align_streams
 
 REPORT_JSON = "report.json"
 SEGMENTS_CSV = "segments.csv"
@@ -193,11 +192,7 @@ def analyze(package_dir, route=None, reference=None, config: Config | None = Non
         # used for segmentation must not run backward
         fix_chain = np.maximum.accumulate([s.chainage_m for s in snaps])
         sample_chain = np.interp(t.astype(float), gps["t"].astype(float), fix_chain)
-        rows = StreamColumns({
-            "t": t,
-            "az": samples["az"],
-            "speed_mps": sample_speeds(gps, t, cfg.gps_max_gap_ms),
-        })
+        rows = align_streams(samples, gps, cfg.gps_max_gap_ms)
         segments = tuple(
             segment_roughness(rows, sample_chain, segment_len_m=cfg.segment_len_m)
         )

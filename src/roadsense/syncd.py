@@ -92,6 +92,9 @@ class ServerPackage:
             "manifest": json.loads(serialize_manifest(self.manifest)),
         }
 
+    def commit_event(self) -> EventRecord:
+        return EventRecord(self.commit_seq, self.manifest.package_id, self.committed_at_ms)
+
 
 class Registry:
     """Package registry plus blob store rooted at a data directory.
@@ -266,14 +269,18 @@ class Registry:
     # -- commit -----------------------------------------------------------
 
     def commit(self, package_id: str) -> tuple[EventRecord, bool]:
-        """Verify and commit; idempotent. Returns (event, newly_committed)."""
+        """Verify and commit; idempotent. Returns (event, newly_committed).
+
+        The digests are checked outside the registry lock, so a large
+        commit does not stall uploads to other packages. A complete blob
+        takes no more appends, so the hashed bytes are the committed ones;
+        a concurrent commit of the same package is caught by the second
+        ``committed`` check.
+        """
         pkg = self._get_package(package_id)
         with self.lock:
             if pkg.committed:
-                return (
-                    EventRecord(pkg.commit_seq, package_id, pkg.committed_at_ms),
-                    False,
-                )
+                return pkg.commit_event(), False
             incomplete = [
                 b.name
                 for b in pkg.manifest.blobs
@@ -281,12 +288,15 @@ class Registry:
             ]
             if incomplete:
                 raise Conflict(f"blobs incomplete: {', '.join(incomplete)}", blobs=incomplete)
-            for b in pkg.manifest.blobs:
-                if b.bytes == 0:
-                    continue
-                path = self.packages_dir / package_id / b.name
-                if sha256_file(path) != b.sha256:
-                    raise DigestMismatch(b.name)
+        for b in pkg.manifest.blobs:
+            if b.bytes == 0:
+                continue
+            path = self.packages_dir / package_id / b.name
+            if sha256_file(path) != b.sha256:
+                raise DigestMismatch(b.name)
+        with self.lock:
+            if pkg.committed:
+                return pkg.commit_event(), False
             seq = len(self.events) + 1
             event = EventRecord(
                 commit_seq=seq,
@@ -518,13 +528,13 @@ def _make_handler(registry: Registry, hub: EventHub, stopping: threading.Event, 
             self._send_json(status, doc)
 
         def _put_chunk(self, package_id: str, name: str):
-            offset_header = self.headers.get(OFFSET_HEADER)
-            if offset_header is None:
-                self._read_body()
-                return self._send_json(400, {"error": f"missing {OFFSET_HEADER} header"})
+            # read the body first: _read_body answers a refused length itself
             body = self._read_body()
             if body is None:
                 return
+            offset_header = self.headers.get(OFFSET_HEADER)
+            if offset_header is None:
+                return self._send_json(400, {"error": f"missing {OFFSET_HEADER} header"})
             try:
                 offset = int(offset_header)
             except ValueError:

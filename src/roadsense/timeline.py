@@ -1,24 +1,21 @@
 """Time indexes and multi-rate stream alignment.
 
-A TimeIndex is a binary-searchable view over one timestamped stream.
-``align_streams`` fuses the three package streams into one row per IMU
-sample: interpolated GPS position, a speed estimate, and the nearest
-frame reference within tolerance. ``sample_speeds`` gives the same speed
-estimates as one array, straight from the GPS columns.
+A TimeIndex is a binary-searchable view over one timestamped stream of
+records; the ``query`` command and frame lookups by time use it.
+``align_streams`` works on decoded ``StreamColumns``: it extends the IMU
+sample columns with the GPS position and a speed estimate at each
+sample time.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .geo import haversine
-from .model import FrameRef, GpsFix, SensorSample, StreamColumns, columns_from_records
+from .model import StreamColumns
 
-DEFAULT_FRAME_TOL_MS = 50      # half of a 10 fps frame period
 DEFAULT_GPS_MAX_GAP_MS = 5000  # bracketing fixes further apart fabricate nothing
 
 
@@ -105,94 +102,34 @@ def _bracket(ts: np.ndarray, t: np.ndarray, max_gap_ms: int):
     return exact, inside, left, w
 
 
-def interpolate_position(
-    gps: TimeIndex, t: int, max_gap_ms: int = DEFAULT_GPS_MAX_GAP_MS
-) -> Optional[tuple[float, float]]:
-    """Linearly interpolate (lat, lon) at time *t* between bracketing fixes.
-
-    Returns None outside GPS coverage or across a gap wider than
-    *max_gap_ms*. Exact-timestamp hits return that fix regardless of the
-    neighboring gaps.
-    """
-    if len(gps) == 0:
-        return None
-    exact, inside, left, w = _bracket(
-        gps.timestamps, np.asarray([t], dtype=np.int64), max_gap_ms
-    )
-    if not (exact[0] or inside[0]):
-        return None
-    a = gps.items[left[0]]
-    if exact[0]:
-        return (a.lat, a.lon)
-    b = gps.items[left[0] + 1]
-    w0 = float(w[0])
-    return (a.lat + w0 * (b.lat - a.lat), a.lon + w0 * (b.lon - a.lon))
-
-
-@dataclass(frozen=True)
-class AlignedRecord:
-    """One fused row: IMU sample + interpolated GPS + nearest frame."""
-
-    t: int
-    sample: SensorSample
-    position: Optional[tuple[float, float]]  # (lat, lon)
-    speed_mps: Optional[float]
-    frame: Optional[FrameRef]
-
-
 def align_streams(
-    samples: Sequence[SensorSample],
-    gps: Sequence[GpsFix],
-    frames: Sequence[FrameRef],
-    frame_tol_ms: int = DEFAULT_FRAME_TOL_MS,
+    samples: StreamColumns,
+    gps: StreamColumns,
     gps_max_gap_ms: int = DEFAULT_GPS_MAX_GAP_MS,
-) -> list[AlignedRecord]:
-    """Produce one AlignedRecord per IMU sample.
+) -> StreamColumns:
+    """The sample columns plus GPS at each sample time: ``lat`` and
+    ``lon`` interpolated between bracketing fixes (NaN outside coverage
+    or across a gap wider than *gps_max_gap_ms*; an exact-timestamp hit
+    takes that fix regardless of the neighboring gaps), and ``speed_mps``
+    (NaN where unknown).
 
     Speed comes from the GPS speed field when the bracketing fixes carry
     one; otherwise it falls back to a central finite difference of
     interpolated positions over neighboring samples.
     """
-    sample_idx = samples if isinstance(samples, TimeIndex) else TimeIndex(samples)
-    gps_idx = gps if isinstance(gps, TimeIndex) else TimeIndex(gps)
-    frame_idx = frames if isinstance(frames, TimeIndex) else TimeIndex(frames)
-
-    t = sample_idx.timestamps
-    lat, lon, located, speed = _gps_at(columns_from_records(gps_idx.items, GpsFix), t, gps_max_gap_ms)
-    speed = _fill_finite_difference(t, lat, lon, located, speed)
-    positions = [
-        (a, b) if ok else None
-        for ok, a, b in zip(located.tolist(), lat.tolist(), lon.tolist())
-    ]
-    frame_items = frame_idx.items
-    frame_pos = frame_idx.nearest_positions(t, frame_tol_ms).tolist()
-    return [
-        AlignedRecord(
-            t=s.t,
-            sample=s,
-            position=p,
-            speed_mps=None if math.isnan(v) else v,
-            frame=frame_items[j] if j >= 0 else None,
-        )
-        for s, p, v, j in zip(sample_idx.items, positions, speed.tolist(), frame_pos)
-    ]
-
-
-def sample_speeds(gps: StreamColumns, t: np.ndarray, max_gap_ms: int) -> np.ndarray:
-    """Speed (m/s) at each sample time *t*, NaN where none is known: the
-    speeds align_streams gives, from the GPS columns."""
-    lat, lon, located, speed = _gps_at(gps, t, max_gap_ms)
-    return _fill_finite_difference(t, lat, lon, located, speed)
+    t = samples["t"]
+    lat, lon, speed = _gps_at(gps, t, gps_max_gap_ms)
+    speed = _fill_finite_difference(t, lat, lon, speed)
+    return StreamColumns({**samples.fields, "lat": lat, "lon": lon, "speed_mps": speed})
 
 
 def _gps_at(gps: StreamColumns, t: np.ndarray, max_gap_ms: int):
-    """``(lat, lon, located, speed)`` at times *t*: interpolated position,
-    a mask of the times that have one, and the interpolated GPS-field
-    speed, NaN where a bracketing fix has no speed."""
+    """``(lat, lon, speed)`` at times *t*: the interpolated position, NaN
+    outside coverage, and the interpolated GPS-field speed, NaN where a
+    bracketing fix has no speed."""
     n = len(gps)
     if n == 0:
-        nan = np.full(t.shape, np.nan)
-        return nan, nan, np.zeros(t.shape, dtype=bool), nan
+        return np.full(t.shape, np.nan), np.full(t.shape, np.nan), np.full(t.shape, np.nan)
     exact, inside, left, w = _bracket(gps["t"], t, max_gap_ms)
     right = np.minimum(left + 1, n - 1)
 
@@ -200,13 +137,14 @@ def _gps_at(gps: StreamColumns, t: np.ndarray, max_gap_ms: int):
         interpolated = values[left] + w * (values[right] - values[left])
         return np.where(exact, values[left], interpolated)
 
+    located = exact | inside
     has = gps["has_speed_mps"]
     with_speed = exact & has[left] | inside & has[left] & has[right]
     speed = np.where(with_speed, at(np.where(has, gps["speed_mps"], 0.0)), np.nan)
-    return at(gps["lat"]), at(gps["lon"]), exact | inside, speed
+    return np.where(located, at(gps["lat"]), np.nan), np.where(located, at(gps["lon"]), np.nan), speed
 
 
-def _fill_finite_difference(t, lat, lon, located, speed) -> np.ndarray:
+def _fill_finite_difference(t, lat, lon, speed) -> np.ndarray:
     """*speed* with each NaN replaced, where possible, by the central
     difference of the neighbors' positions (one-sided at the ends).
 
@@ -218,6 +156,7 @@ def _fill_finite_difference(t, lat, lon, located, speed) -> np.ndarray:
     lo = np.maximum(i - 1, 0)
     hi = np.minimum(i + 1, n - 1)
     dt_s = (t[hi] - t[lo]) / 1000.0
+    located = ~np.isnan(lat)
     fill = np.isnan(speed) & (lo != hi) & located[lo] & located[hi] & (dt_s > 0)
     out = speed.copy()
     for k in np.flatnonzero(fill).tolist():

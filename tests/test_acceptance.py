@@ -57,6 +57,7 @@ from roadsense.model import (
     FrameRef,
     PackageManifest,
     SensorSample,
+    columns_from_records,
     decode_jsonl_stream,
     parse_manifest,
     serialize_manifest,
@@ -201,10 +202,11 @@ def test_criterion_03_frame_alignment(tmp_path, capfd):
 
 
 def _sine_samples(az: np.ndarray):
-    return [
-        SensorSample(t=i * 10, ax=0.0, ay=0.0, az=float(v), gx=0.0, gy=0.0, gz=0.0)
-        for i, v in enumerate(az)
-    ]
+    return columns_from_records(
+        [SensorSample(t=i * 10, ax=0.0, ay=0.0, az=float(v), gx=0.0, gy=0.0, gz=0.0)
+         for i, v in enumerate(az)],
+        SensorSample,
+    )
 
 
 def test_criterion_04_rms_properties(capfd):
@@ -233,7 +235,7 @@ def test_criterion_04_rms_properties(capfd):
 
 
 def _detected(samples):
-    return classify_events(detect_axis_spikes(samples))
+    return classify_events(detect_axis_spikes(columns_from_records(samples, SensorSample)))
 
 
 def test_criterion_05_event_rules(capfd):

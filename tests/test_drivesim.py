@@ -26,6 +26,7 @@ from roadsense.drivesim import (
 from roadsense.errors import ValidationError
 from roadsense.geo import snap_to_polyline
 from roadsense.kinematics import DriveEvent, EventKind, detect_axis_spikes
+from roadsense.model import SensorSample, columns_from_records
 from roadsense.packstore import UploadStatus
 from roadsense.syncclient import SyncClient
 
@@ -147,7 +148,7 @@ def test_quiet_drive_is_flat_gravity():
     assert np.all(channel(sim, "az") == GRAVITY_MPS2)
     for name in ("ax", "ay", "gx", "gy", "gz"):
         assert np.all(channel(sim, name) == 0.0)
-    assert detect_axis_spikes(sim.samples) == []
+    assert detect_axis_spikes(columns_from_records(sim.samples, SensorSample)) == []
 
 
 def test_pothole_is_a_vertical_half_sine():

@@ -23,7 +23,6 @@ from roadsense.kinematics import (
     sliding_rms,
 )
 from roadsense.model import SensorSample, StreamColumns, columns_from_records
-from roadsense.timeline import AlignedRecord
 
 
 def samples_from(az=None, ax=None, ay=None, rate_hz=30):
@@ -31,14 +30,17 @@ def samples_from(az=None, ax=None, ay=None, rate_hz=30):
     az = az if az is not None else [9.81] * n
     ax = ax if ax is not None else [0.0] * n
     ay = ay if ay is not None else [0.0] * n
-    return [
-        SensorSample(
-            t=round(i * 1000 / rate_hz),
-            ax=float(ax[i]), ay=float(ay[i]), az=float(az[i]),
-            gx=0.0, gy=0.0, gz=0.0,
-        )
-        for i in range(n)
-    ]
+    return columns_from_records(
+        [
+            SensorSample(
+                t=round(i * 1000 / rate_hz),
+                ax=float(ax[i]), ay=float(ay[i]), az=float(az[i]),
+                gx=0.0, gy=0.0, gz=0.0,
+            )
+            for i in range(n)
+        ],
+        SensorSample,
+    )
 
 
 # -- rms --------------------------------------------------------------------------
@@ -126,7 +128,7 @@ def test_scores_match_formula_on_noise():
     az = rng.normal(9.81, 0.1, 90)
     samples = samples_from(az=az)
     scores = robust_scores(samples, "z", window_ms=1000)
-    ts = np.array([s.t for s in samples])
+    ts = samples["t"]
     i = 45
     w = az[(ts >= ts[i] - 500) & (ts < ts[i] + 500 + 1)]  # centered window
     med = np.median(w)
@@ -172,10 +174,10 @@ _values = st.one_of(st.sampled_from([9.81, 9.81, 9.81, 0.0, 12.5]),
 def test_batched_scores_equal_per_window_medians(steps, data, window_ms, floor, block):
     ts = np.cumsum(steps) - steps[0]
     az = data.draw(st.lists(_values, min_size=len(ts), max_size=len(ts)))
-    samples = [
-        SensorSample(t=int(t), ax=0.0, ay=0.0, az=v, gx=0.0, gy=0.0, gz=0.0)
-        for t, v in zip(ts, az)
-    ]
+    samples = columns_from_records(
+        [SensorSample(t=int(t), ax=0.0, ay=0.0, az=v, gx=0.0, gy=0.0, gz=0.0) for t, v in zip(ts, az)],
+        SensorSample,
+    )
     with mock.patch.object(kinematics, "_GATHER_ELEMS", block):
         got = robust_scores(samples, "z", window_ms, scale_floor=floor)
     assert np.array_equal(got, oracle_scores(ts, np.asarray(az), window_ms, floor))
@@ -260,7 +262,7 @@ def test_axes_union_across_merge():
 def test_detect_validates_k():
     with pytest.raises(ValueError):
         detect_axis_spikes(samples_from(az=[9.81] * 3), k=0.0)
-    assert detect_axis_spikes([]) == []
+    assert detect_axis_spikes(samples_from(az=[])) == []
 
 
 def test_spike_event_invariants():
@@ -306,12 +308,15 @@ def test_mixed_axes_with_z_is_pothole():
 
 
 def aligned(az_values, chainage, speeds=None):
+    """Sample columns with a ``speed_mps`` column, as align_streams gives."""
     speeds = speeds or [None] * len(az_values)
-    records = []
-    for i, (v, s) in enumerate(zip(az_values, speeds)):
-        sample = SensorSample(t=i * 33, ax=0.0, ay=0.0, az=float(v), gx=0.0, gy=0.0, gz=0.0)
-        records.append(AlignedRecord(t=sample.t, sample=sample, position=None, speed_mps=s, frame=None))
-    return records, list(chainage)
+    samples = columns_from_records(
+        [SensorSample(t=i * 33, ax=0.0, ay=0.0, az=float(v), gx=0.0, gy=0.0, gz=0.0)
+         for i, v in enumerate(az_values)],
+        SensorSample,
+    )
+    speed = np.asarray([np.nan if s is None else s for s in speeds], dtype=np.float64)
+    return StreamColumns({**samples.fields, "speed_mps": speed}), list(chainage)
 
 
 def test_two_segment_partition():
@@ -353,40 +358,5 @@ def test_segment_validation():
     rows2, _ = aligned([9.8, 9.9], [0.0, 0.0])
     with pytest.raises(ValueError):
         segment_roughness(rows2, [5.0, 4.0])
-    assert segment_roughness([], []) == []
-
-
-# -- columns and records give the same results --------------------------------------------
-
-
-_accel = st.floats(min_value=-30.0, max_value=30.0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(1, 60), _accel, _accel, _accel), min_size=0, max_size=80),
-    st.sampled_from([200, 1000]),
-)
-def test_spike_scoring_on_columns_matches_records(rows, window_ms):
-    t = np.cumsum([dt for dt, *_ in rows]).tolist()
-    samples = [SensorSample(t=ti, ax=x, ay=y, az=z, gx=0.0, gy=0.0, gz=0.0)
-               for ti, (_, x, y, z) in zip(t, rows)]
-    cols = columns_from_records(samples, SensorSample)
-    for axis in ("x", "y", "z"):
-        assert robust_scores(cols, axis, window_ms).tobytes() == robust_scores(samples, axis, window_ms).tobytes()
-    assert detect_axis_spikes(cols, k=2.0, window_ms=window_ms) == detect_axis_spikes(samples, k=2.0, window_ms=window_ms)
-    assert sliding_rms(cols, window_ms=window_ms) == sliding_rms(samples, window_ms=window_ms)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(_accel, st.one_of(st.none(), st.floats(0.0, 40.0)), st.floats(0.0, 30.0)),
-                min_size=1, max_size=60))
-def test_segment_roughness_on_columns_matches_records(rows):
-    records, chain = aligned([a for a, _, _ in rows], np.cumsum([d for *_, d in rows]).tolist(),
-                             speeds=[s for _, s, _ in rows])
-    cols = StreamColumns({
-        "t": np.asarray([r.t for r in records], dtype=np.int64),
-        "az": np.asarray([r.sample.az for r in records]),
-        "speed_mps": np.asarray([np.nan if r.speed_mps is None else r.speed_mps for r in records]),
-    })
-    assert segment_roughness(cols, chain, segment_len_m=50.0) == segment_roughness(records, chain, segment_len_m=50.0)
+    empty, _ = aligned([], [])
+    assert segment_roughness(empty, []) == []

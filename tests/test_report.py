@@ -10,6 +10,7 @@ import pytest
 from roadsense.canonical import dumps_canonical
 from roadsense.config import Config
 from roadsense import model, package
+from roadsense import report as report_module
 from roadsense.drivesim import default_route, default_scenario, score_detections, write_package
 from roadsense.errors import ValidationError
 from roadsense.geo import Polyline, ReferenceIriRecord
@@ -84,6 +85,13 @@ def test_reference_without_route_is_an_argument_error(sim_package):
     _, pkg_dir, _, _ = sim_package
     with pytest.raises(ValueError, match="route"):
         analyze(pkg_dir, reference=[ReferenceIriRecord(0.0, 100.0, 1.0)])
+
+
+def test_negative_frame_tolerance_is_an_argument_error(sim_package):
+    _, pkg_dir, _, _ = sim_package
+    with pytest.raises(ValueError) as e:
+        analyze(pkg_dir, config=Config(frame_tol_ms=-1))
+    assert str(e.value) == "frame_tol_ms must be >= 0, got -1"
 
 
 def test_analyze_rejects_corrupt_package(tmp_path):
@@ -248,3 +256,19 @@ def test_routed_analyze_decodes_and_snaps_once(fixed_drive, monkeypatch):
     assert sorted(decoded) == sorted(package.STREAM_NAMES)
     assert record_decodes == []
     assert len(snapped) == 1
+
+
+def test_routed_analyze_aligns_through_the_report_binding(fixed_drive, monkeypatch):
+    pkg_dir, route, ref = fixed_drive
+    aligned = []
+    align = report_module.align_streams
+
+    def counting_align(samples, gps, gps_max_gap_ms):
+        rows = align(samples, gps, gps_max_gap_ms)
+        aligned.append(rows)
+        return rows
+
+    monkeypatch.setattr(report_module, "align_streams", counting_align)
+    analyze(pkg_dir, route=route, reference=ref)
+    assert len(aligned) == 1
+    assert {"t", "az", "lat", "lon", "speed_mps"} <= set(aligned[0].fields)

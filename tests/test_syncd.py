@@ -6,6 +6,7 @@ import http.client
 import json
 import socket
 import statistics
+import threading
 import time
 import uuid
 from pathlib import Path
@@ -136,6 +137,76 @@ def test_commit_rejects_digest_mismatch(tmp_path):
     with pytest.raises(DigestMismatch) as e:
         reg.commit(manifest.package_id)
     assert e.value.blob == "gps.jsonl"
+
+
+def blocking_hash(monkeypatch, release):
+    """Patch the registry's hash to wait for *release*; returns a semaphore
+    released once per hash that has started."""
+    started = threading.Semaphore(0)
+    real_hash = syncd.sha256_file
+
+    def hash_after_release(path):
+        started.release()
+        release.wait(10)
+        return real_hash(path)
+
+    monkeypatch.setattr(syncd, "sha256_file", hash_after_release)
+    return started
+
+
+def test_an_append_completes_while_another_package_hashes(tmp_path, monkeypatch):
+    reg = Registry(tmp_path)
+    first, payloads = wire_package()
+    second, payloads2 = wire_package()
+    reg.create_package(first)
+    reg.create_package(second)
+    push_all(reg, first, payloads)
+    release = threading.Event()
+    started = blocking_hash(monkeypatch, release)
+    committed = []
+    committer = threading.Thread(target=lambda: committed.append(reg.commit(first.package_id)))
+    appender = threading.Thread(target=push_all, args=(reg, second, payloads2))
+    committer.start()
+    try:
+        assert started.acquire(timeout=5)
+        appender.start()
+        appender.join(2)
+        appended_during_hash = not appender.is_alive()
+    finally:
+        release.set()
+        committer.join(10)
+        if appender.ident is not None:
+            appender.join(10)
+    assert appended_during_hash
+    assert committed == [(reg.snapshot_events()[0], True)]
+    assert reg.commit(second.package_id)[0].commit_seq == 2
+
+
+def test_concurrent_commits_of_one_package_make_one_event(tmp_path, monkeypatch):
+    reg = Registry(tmp_path)
+    manifest, payloads = wire_package()
+    reg.create_package(manifest)
+    push_all(reg, manifest, payloads)
+    release = threading.Event()
+    started = blocking_hash(monkeypatch, release)
+    results = []
+    threads = [
+        threading.Thread(target=lambda: results.append(reg.commit(manifest.package_id)))
+        for _ in range(2)
+    ]
+    for t in threads:
+        t.start()
+    try:
+        both_hashing = started.acquire(timeout=5) and started.acquire(timeout=5)
+    finally:
+        release.set()
+        for t in threads:
+            t.join(10)
+    assert both_hashing
+    assert sorted(newly for _, newly in results) == [False, True]
+    assert results[0][0] == results[1][0]
+    assert reg.snapshot_events() == [results[0][0]]
+    assert len(reg.commit_log_path.read_bytes().splitlines()) == 1
 
 
 def test_registry_restart_preserves_offsets_and_commits(tmp_path):
@@ -387,6 +458,31 @@ def test_put_without_length_is_411(server):
         )
         reply = s.recv(4096)
     assert reply.split(b"\r\n", 1)[0].endswith(b"411 Length Required")
+
+
+@pytest.mark.parametrize(
+    "length_header, status",
+    [
+        (b"", b"411 Length Required"),
+        (b"Content-Length: -1\r\n", b"400 Bad Request"),
+        (b"Content-Length: 1000000000000\r\n", b"413 Request Entity Too Large"),
+    ],
+)
+def test_a_put_without_offset_and_with_a_refused_length_gets_one_reply(
+    server, length_header, status
+):
+    with socket.create_connection((server.host, server.port), timeout=5) as s:
+        s.sendall(
+            b"PUT /v1/packages/x/blobs/y HTTP/1.1\r\nHost: t\r\n"
+            + length_header
+            + b"Connection: close\r\n\r\n"
+        )
+        reply = b""
+        while chunk := s.recv(4096):
+            reply += chunk
+    # a second reply would follow the first one's body, not start a line
+    assert reply.count(b"HTTP/1.1 ") == 1
+    assert reply.split(b"\r\n", 1)[0].endswith(status)
 
 
 def raw_status(server, request: bytes) -> bytes:

@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_frames, make_gps, make_samples
 from roadsense.geo import haversine
 from roadsense.model import FrameRef, GpsFix, SensorSample, columns_from_records
-from roadsense.timeline import (
-    TimeIndex,
-    align_streams,
-    interpolate_position,
-    sample_speeds,
-)
+from roadsense.timeline import DEFAULT_GPS_MAX_GAP_MS, TimeIndex, align_streams
 
 
 class Stamp:
@@ -94,95 +89,120 @@ def test_index_rejects_duplicates_and_disorder():
         TimeIndex([Stamp(2), Stamp(1)])
 
 
-# -- interpolation ---------------------------------------------------------------
+# -- alignment --------------------------------------------------------------------
 
 
 def fix(t, lat, lon, speed=None):
     return GpsFix(t=t, lat=lat, lon=lon, alt_m=0.0, speed_mps=speed)
 
 
+def align(samples, gps, max_gap_ms=DEFAULT_GPS_MAX_GAP_MS):
+    """align_streams over record lists, turned into columns first."""
+    return align_streams(
+        columns_from_records(samples, SensorSample), columns_from_records(gps, GpsFix), max_gap_ms
+    )
+
+
+def position(rows, i):
+    """Row *i*'s (lat, lon), or None where it has no position."""
+    lat, lon = float(rows["lat"][i]), float(rows["lon"][i])
+    return None if np.isnan(lat) else (lat, lon)
+
+
+def quiet_samples(ts):
+    return [SensorSample(t=t, ax=0.0, ay=0.0, az=9.81, gx=0.0, gy=0.0, gz=0.0) for t in ts]
+
+
 def test_interpolate_position_midpoint_and_exact():
-    idx = TimeIndex([fix(0, 10.0, 20.0), fix(1000, 11.0, 21.0)])
-    assert interpolate_position(idx, 0) == (10.0, 20.0)
-    lat, lon = interpolate_position(idx, 500)
+    rows = align(quiet_samples([0, 500]), [fix(0, 10.0, 20.0), fix(1000, 11.0, 21.0)])
+    assert position(rows, 0) == (10.0, 20.0)
+    lat, lon = position(rows, 1)
     assert lat == pytest.approx(10.5)
     assert lon == pytest.approx(20.5)
 
 
 def test_interpolate_position_outside_coverage():
-    idx = TimeIndex([fix(100, 10.0, 20.0), fix(200, 11.0, 21.0)])
-    assert interpolate_position(idx, 99) is None
-    assert interpolate_position(idx, 201) is None
+    rows = align(quiet_samples([99, 150, 201]), [fix(100, 10.0, 20.0), fix(200, 11.0, 21.0)])
+    assert position(rows, 0) is None
+    assert position(rows, 2) is None
 
 
 def test_interpolate_position_refuses_wide_gaps():
-    idx = TimeIndex([fix(0, 10.0, 20.0), fix(10_000, 11.0, 21.0)])
-    assert interpolate_position(idx, 5_000, max_gap_ms=5_000) is None
+    rows = align(
+        quiet_samples([5_000, 10_000]), [fix(0, 10.0, 20.0), fix(10_000, 11.0, 21.0)], max_gap_ms=5_000
+    )
+    assert position(rows, 0) is None
     # exact hits are fine regardless of the gap
-    assert interpolate_position(idx, 10_000, max_gap_ms=5_000) == (11.0, 21.0)
-
-
-# -- alignment --------------------------------------------------------------------
+    assert position(rows, 1) == (11.0, 21.0)
 
 
 def test_alignment_one_row_per_sample():
     samples = make_samples(30)
-    rows = align_streams(samples, make_gps(2), make_frames(10))
+    cols = columns_from_records(samples, SensorSample)
+    rows = align_streams(cols, columns_from_records(make_gps(2), GpsFix))
     assert len(rows) == len(samples)
-    assert [r.t for r in rows] == [s.t for s in samples]
-    assert all(r.sample is s for r, s in zip(rows, samples))
+    assert rows["t"].tolist() == [s.t for s in samples]
+    for name in ("ax", "ay", "az", "gx", "gy", "gz"):
+        assert rows[name] is cols[name]
+
+
+def frame_positions(samples, frames, tol=50):
+    """Position in *frames* of each sample's nearest frame within *tol*, or -1."""
+    t = np.asarray([s.t for s in samples], dtype=np.int64)
+    return TimeIndex(frames).nearest_positions(t, tol).tolist()
 
 
 def test_alignment_frame_fanout_is_3_plus_minus_1():
     # 30 Hz samples against 10 fps frames: each frame serves 2-4 rows
     samples = make_samples(301)
     frames = make_frames(101)
-    rows = align_streams(samples, make_gps(11), frames)
+    nearest = frame_positions(samples, frames)
+    assert all(j >= 0 for j in nearest)
+    owner = [frames[j].index for j in nearest]
     counts = {}
-    for r in rows:
-        assert r.frame is not None
-        counts[r.frame.index] = counts.get(r.frame.index, 0) + 1
+    for index in owner:
+        counts[index] = counts.get(index, 0) + 1
     assert set(counts) == {f.index for f in frames}
     assert all(2 <= c <= 4 for c in counts.values())
     # consecutive rows that share a frame are contiguous runs
     seen = set()
     prev = None
-    for r in rows:
-        if r.frame.index != prev:
-            assert r.frame.index not in seen
-            seen.add(r.frame.index)
-            prev = r.frame.index
+    for index in owner:
+        if index != prev:
+            assert index not in seen
+            seen.add(index)
+            prev = index
 
 
 def test_alignment_outside_tolerance_has_no_frame():
     samples = make_samples(4)  # t = 0, 33, 67, 100
     frames = make_frames(1)    # t = 0
-    rows = align_streams(samples, [], frames, frame_tol_ms=30)
-    assert [r.frame.index if r.frame else None for r in rows] == [0, None, None, None]
+    got = [frames[j].index if j >= 0 else None for j in frame_positions(samples, frames, tol=30)]
+    assert got == [0, None, None, None]
 
 
 def test_alignment_speed_prefers_gps_field():
     samples = make_samples(3)
     gps = [fix(0, 10.0, 20.0, speed=8.0), fix(1000, 10.001, 20.0, speed=10.0)]
-    rows = align_streams(samples, gps, [])
-    assert rows[0].speed_mps == pytest.approx(8.0)
-    assert rows[1].speed_mps == pytest.approx(8.0 + 2.0 * 33 / 1000)
+    rows = align(samples, gps)
+    assert rows["speed_mps"][0] == pytest.approx(8.0)
+    assert rows["speed_mps"][1] == pytest.approx(8.0 + 2.0 * 33 / 1000)
 
 
 def test_alignment_speed_falls_back_to_finite_difference():
     samples = [SensorSample(t=t, ax=0, ay=0, az=9.81, gx=0, gy=0, gz=0) for t in (0, 500, 1000)]
     # ~111 m of latitude over 1 s, no speed fields
     gps = [fix(0, 0.0, 0.0), fix(1000, 0.001, 0.0)]
-    rows = align_streams(samples, gps, [])
-    assert rows[1].speed_mps == pytest.approx(111.0, rel=0.01)
+    rows = align(samples, gps)
+    assert rows["speed_mps"][1] == pytest.approx(111.0, rel=0.01)
 
 
 def test_alignment_no_position_beyond_gps():
     samples = make_samples(40)  # out to 1300 ms
     gps = [fix(0, 10.0, 20.0), fix(1000, 10.001, 20.0)]
-    rows = align_streams(samples, gps, [])
-    beyond = [r for r in rows if r.t > 1000]
-    assert beyond and all(r.position is None for r in beyond)
+    rows = align(samples, gps)
+    beyond = [i for i, s in enumerate(samples) if s.t > 1000]
+    assert beyond and all(position(rows, i) is None for i in beyond)
 
 
 # -- alignment against scalar oracles ----------------------------------------------
@@ -268,24 +288,13 @@ def _streams(draw):
 @given(_streams())
 def test_align_matches_scalar_oracles(streams):
     samples, gps, frames, tol, max_gap = streams
-    rows = align_streams(samples, gps, frames, frame_tol_ms=tol, gps_max_gap_ms=max_gap)
-    gps_idx = TimeIndex(gps)
+    rows = align(samples, gps, max_gap)
     frame_ts = [f.t for f in frames]
     speeds = oracle_speeds(samples, gps, max_gap)
-    for row, s, speed in zip(rows, samples, speeds):
-        want = oracle_position(gps, s.t, max_gap)
-        assert row.position == want
-        assert interpolate_position(gps_idx, s.t, max_gap) == want
-        assert row.speed_mps == speed
+    want_speeds = [np.nan if v is None else v for v in speeds]
+    assert rows["speed_mps"].tobytes() == np.asarray(want_speeds, dtype=np.float64).tobytes()
+    nearest = frame_positions(samples, frames, tol)
+    for i, s in enumerate(samples):
+        assert position(rows, i) == oracle_position(gps, s.t, max_gap)
         near = oracle_nearest(frame_ts, s.t, tol)
-        assert (row.frame.t if row.frame else None) == near
-
-
-@settings(max_examples=200, deadline=None)
-@given(_streams())
-def test_sample_speeds_match_the_scalar_oracle(streams):
-    samples, gps, _, _, max_gap = streams
-    t = np.asarray([s.t for s in samples], dtype=np.int64)
-    got = sample_speeds(columns_from_records(gps, GpsFix), t, max_gap)
-    want = [np.nan if v is None else v for v in oracle_speeds(samples, gps, max_gap)]
-    assert got.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+        assert (frames[nearest[i]].t if nearest[i] >= 0 else None) == near
