@@ -286,13 +286,19 @@ def _streams(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_streams())
+def test_sample_speeds_match_the_scalar_oracle(streams):
+    samples, gps, _, _, max_gap = streams
+    got = align(samples, gps, max_gap)["speed_mps"]
+    want = [np.nan if v is None else v for v in oracle_speeds(samples, gps, max_gap)]
+    assert got.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_streams())
 def test_align_matches_scalar_oracles(streams):
     samples, gps, frames, tol, max_gap = streams
     rows = align(samples, gps, max_gap)
     frame_ts = [f.t for f in frames]
-    speeds = oracle_speeds(samples, gps, max_gap)
-    want_speeds = [np.nan if v is None else v for v in speeds]
-    assert rows["speed_mps"].tobytes() == np.asarray(want_speeds, dtype=np.float64).tobytes()
     nearest = frame_positions(samples, frames, tol)
     for i, s in enumerate(samples):
         assert position(rows, i) == oracle_position(gps, s.t, max_gap)
