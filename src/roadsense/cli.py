@@ -28,7 +28,6 @@ from .packstore import (
     ServerRejected,
     Uploader,
     UploadStatus,
-    read_upload_state,
     recover,
     upload_library,
 )
@@ -213,10 +212,7 @@ def cmd_status(args) -> int:
             print(f"{entry.package_id}: CORRUPT ({entry.error or 'invalid package'})")
             continue
         total = sum(b.bytes for b in entry.manifest.blobs)
-        state = entry.state or read_upload_state(entry.path)
-        if state is None:
-            print(f"{entry.package_id}: pending 0/{total} bytes")
-            continue
+        state = entry.state
         sent = sum(state.bytes_sent.values())
         line = f"{entry.package_id}: {state.status.value} {sent}/{total} bytes, " \
                f"attempts {state.attempt_count}"

@@ -7,28 +7,35 @@ where its upload stands. The state machine:
     InProgress  --ChunkAcked-->  InProgress   (bytes_sent advances)
     InProgress  --NetLost-->     Interrupted
     InProgress  --Committed-->   Complete
-    Interrupted --Start-->       InProgress   (resume from bytes_sent)
+    Interrupted --Start-->       InProgress   (resume from the server's offsets)
     Pending/InProgress/Interrupted --ServerError--> Interrupted (attempt+1)
     Interrupted --GiveUp-->      Failed       (only once attempts exceed max_retries)
 
 Complete and Failed are terminal; every other (status, event) pair is
-rejected. Sidecars are rewritten atomically (write-temp-then-rename) and
-persisted before the caller sees the transition, so a crash at any point
-recovers to a state the event history could have produced.
+rejected. Sidecars are rewritten atomically (write-temp-then-rename, fsync).
+Every status-changing transition (Start, NetLost, ServerError, Committed,
+GiveUp) and every offset sync is persisted before the caller sees it, so a
+crash at any point recovers to a state the event history could have
+produced. ChunkAcked only advances ``bytes_sent`` and is persisted at most
+once per second, which keeps ``roadsense status`` progress about that
+fresh without an fsync per chunk.
 
 Resume offsets are authoritative on the server: on resume the uploader
-asks the server where each blob stands and continues from there, because
-client-side byte counts can exceed what the server durably holds.
+asks the server where each blob stands and continues from there, so a
+sidecar whose ``bytes_sent`` is behind or ahead of what the server durably
+holds neither re-sends nor skips a byte.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -57,6 +64,9 @@ DEFAULT_MAX_RETRIES = 5
 DEFAULT_BACKOFF_BASE_S = 1.0
 DEFAULT_BACKOFF_CAP_S = 60.0
 DEFAULT_CHUNK_BYTES = 262_144
+
+# least time.monotonic() seconds between two sidecar writes for ChunkAcked
+_PROGRESS_PERSIST_S = 1.0
 
 
 class UploadStatus(str, Enum):
@@ -391,12 +401,23 @@ class Uploader:
         self.backoff_cap_s = backoff_cap_s
         self.observer = observer
         self.sleep = sleep
+        self._persisted_at = -math.inf
 
-    # every state transition funnels through here so persistence (and
-    # crash-injection in tests) covers each one
+    def _persist(self) -> None:
+        write_upload_state(self.package_dir, self.state)
+        self._persisted_at = time.monotonic()
+
+    # every state transition funnels through here and reaches the observer
+    # (and crash injection in tests) only after it is persisted; ChunkAcked
+    # alone is persisted at most once per _PROGRESS_PERSIST_S, since resume
+    # takes its offsets from the server
     def _apply(self, event: UploadEvent, **kw) -> UploadState:
         self.state = advance(self.state, event, max_retries=self.max_retries, **kw)
-        write_upload_state(self.package_dir, self.state)
+        if (
+            event is not UploadEvent.CHUNK_ACKED
+            or time.monotonic() - self._persisted_at >= _PROGRESS_PERSIST_S
+        ):
+            self._persist()
         if self.observer:
             self.observer("transition", event=event.value, status=self.state.status.value,
                           bytes_sent=dict(self.state.bytes_sent))
@@ -404,7 +425,7 @@ class Uploader:
 
     def _sync_offsets(self, offsets: dict) -> None:
         self.state = sync_offsets(self.state, offsets)
-        write_upload_state(self.package_dir, self.state)
+        self._persist()
         if self.observer:
             self.observer("offsets_synced", offsets=dict(offsets))
 
@@ -485,18 +506,19 @@ def upload_library(
     parallel, each package serialized. Returns package_id -> final state."""
 
     def _run(entry: LibraryEntry) -> tuple[str, UploadState]:
-        uploader = Uploader(
-            entry.path,
-            entry.manifest,
-            client_factory(),
-            state=entry.state,
-            chunk_bytes=chunk_bytes,
-            max_retries=max_retries,
-            backoff_base_s=backoff_base_s,
-            backoff_cap_s=backoff_cap_s,
-            observer=observer,
-        )
-        return entry.package_id, uploader.run()
+        with closing(client_factory()) as client:
+            uploader = Uploader(
+                entry.path,
+                entry.manifest,
+                client,
+                state=entry.state,
+                chunk_bytes=chunk_bytes,
+                max_retries=max_retries,
+                backoff_base_s=backoff_base_s,
+                backoff_cap_s=backoff_cap_s,
+                observer=observer,
+            )
+            return entry.package_id, uploader.run()
 
     eligible = [
         e for e in library

@@ -318,10 +318,11 @@ def _accel_svg(report: AnalysisReport) -> str:
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
 
-    def sx(tv: float) -> float:
+    # sx and sy map scalars and numpy arrays alike, with one operation order
+    def sx(tv):
         return left + (tv - t0) / t_span * plot_w
 
-    def sy(v: float) -> float:
+    def sy(v):
         return top + (hi - v) / (hi - lo) * plot_h
 
     for e in report.events:
@@ -337,10 +338,9 @@ def _accel_svg(report: AnalysisReport) -> str:
         f'<line x1="{_f(left)}" y1="{_f(sy(0.0))}" x2="{_f(left + plot_w)}" y2="{_f(sy(0.0))}" '
         f'stroke="#cccccc" stroke-width="1"/>'
     )
+    xs = sx(t).tolist()
     for name, color in _AXIS_COLORS:
-        pts = " ".join(
-            f"{_f(sx(tv))},{_f(sy(v))}" for tv, v in zip(t.tolist(), series[name].tolist())
-        )
+        pts = " ".join(map("{:.2f},{:.2f}".format, xs, sy(series[name]).tolist()))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1"/>'
         )

@@ -23,7 +23,7 @@ class Killed(BaseException):
 
 
 class KillSwitch:
-    """Observer that raises Killed after the n-th persisted transition."""
+    """Observer that raises Killed after the n-th observed transition."""
 
     def __init__(self, after: int):
         self.after = after
@@ -52,6 +52,7 @@ class FakeSyncService:
         self.fail_next: list[tuple[str, Exception]] = []
         self.calls: list[str] = []
         self.appended_bytes = 0  # every byte accepted, for exactly-once audits
+        self.offered_bytes = 0  # every byte passed to put_chunk, replays included
 
     def _maybe_fail(self, method: str) -> None:
         self.calls.append(method)
@@ -77,6 +78,7 @@ class FakeSyncService:
 
     def put_chunk(self, package_id: str, name: str, offset: int, data: bytes) -> int:
         self._maybe_fail("put_chunk")
+        self.offered_bytes += len(data)
         buf = self.blobs[name]
         durable = len(buf)
         if offset + len(data) <= durable:

@@ -1,5 +1,6 @@
 """Upload state machine, sidecar persistence, crash recovery, resumable uploads."""
 
+import math
 from itertools import product
 
 import pytest
@@ -339,6 +340,103 @@ def test_crash_at_every_persistence_point_recovers(tmp_path):
             assert bytes(service.blobs[b.name]) == (pkg_dir / b.name).read_bytes()
 
 
+def chunk_sizes(manifest, chunk_bytes: int) -> list:
+    return [min(chunk_bytes, b.bytes - off)
+            for b in manifest.blobs for off in range(0, b.bytes, chunk_bytes)]
+
+
+def test_crash_after_k_acked_chunks_resends_only_what_the_server_lacks(
+    tmp_path, monkeypatch
+):
+    # chunk progress never reaches the sidecar, so after the kill it still
+    # holds the zero offsets of the first sync; the resume must send exactly
+    # the bytes the server does not hold, counting no-op replays too
+    monkeypatch.setattr(packstore, "_PROGRESS_PERSIST_S", math.inf)
+    sizes = chunk_sizes(build_package(tmp_path / "probe")[1], 64)
+    assert len(sizes) >= 10
+
+    for k in range(1, len(sizes) + 1):
+        root = tmp_path / f"kill{k}"
+        pkg_dir, manifest = build_package(root)
+        service = FakeSyncService(manifest)
+        with pytest.raises(Killed):
+            # observed before the k-th chunk: start and the offset sync
+            Uploader(pkg_dir, manifest, service, chunk_bytes=64,
+                     observer=KillSwitch(2 + k)).run()
+        durable = sum(len(buf) for buf in service.blobs.values())
+        assert durable == sum(sizes[:k])
+
+        entry = recover(root).entries[manifest.package_id]
+        assert entry.state.status is S.INTERRUPTED
+        assert sum(entry.state.bytes_sent.values()) == 0, f"kill after chunk {k}"
+        service.offered_bytes = 0
+        final = Uploader(pkg_dir, manifest, service, chunk_bytes=64,
+                         state=entry.state).run()
+        assert final.status is S.COMPLETE
+        assert service.offered_bytes == total_bytes(manifest) - durable, f"kill after chunk {k}"
+        assert service.appended_bytes == total_bytes(manifest)
+
+
+def upload_counting_sidecar_writes(tmp_path, monkeypatch, service_cls=FakeSyncService):
+    """Upload one package in 64-byte chunks; returns (sidecar writes, observed events)."""
+    pkg_dir, manifest = build_package(tmp_path)
+    writes = []
+    real_write = packstore.write_upload_state
+
+    def counting_write(package_dir, state):
+        writes.append(state)
+        real_write(package_dir, state)
+
+    monkeypatch.setattr(packstore, "write_upload_state", counting_write)
+    events = []
+    final = Uploader(pkg_dir, manifest, service_cls(manifest), chunk_bytes=64,
+                     observer=lambda kind, **kw: events.append(kw.get("event", kind))).run()
+    assert final.status is S.COMPLETE
+    assert events.count("chunk_acked") == len(chunk_sizes(manifest, 64))
+    return len(writes), events
+
+
+def test_sidecar_skips_chunk_progress_when_throttled_forever(tmp_path, monkeypatch):
+    monkeypatch.setattr(packstore, "_PROGRESS_PERSIST_S", math.inf)
+    n_writes, events = upload_counting_sidecar_writes(tmp_path, monkeypatch)
+    assert [e for e in events if e != "chunk_acked"] == ["start", "offsets_synced", "committed"]
+    assert n_writes == 3  # the status transitions plus the offset sync
+
+
+def test_sidecar_written_per_chunk_without_throttle(tmp_path, monkeypatch):
+    monkeypatch.setattr(packstore, "_PROGRESS_PERSIST_S", 0.0)
+    n_writes, events = upload_counting_sidecar_writes(tmp_path, monkeypatch)
+    assert n_writes == len(events)  # one per chunk, transition and sync
+
+
+def test_sidecar_chunk_progress_at_most_once_per_second(tmp_path, monkeypatch):
+    # each acknowledged chunk takes 0.3 s of a fake monotonic clock, so at
+    # the 1 s default chunks 4, 8 and 12 (at 1.2, 2.4 and 3.6 s) are written
+    now = [100.0]
+    monkeypatch.setattr(packstore.time, "monotonic", lambda: now[0])
+
+    class SlowService(FakeSyncService):
+        def put_chunk(self, *args):
+            now[0] += 0.3
+            return super().put_chunk(*args)
+
+    n_writes, events = upload_counting_sidecar_writes(tmp_path, monkeypatch, SlowService)
+    assert events.count("chunk_acked") == 12
+    assert n_writes == 3 + 3
+
+
+def test_recover_mid_upload_shows_progress_without_throttle(tmp_path, monkeypatch):
+    monkeypatch.setattr(packstore, "_PROGRESS_PERSIST_S", 0.0)
+    pkg_dir, manifest = build_package(tmp_path)
+    service = FakeSyncService(manifest)
+    with pytest.raises(Killed):
+        Uploader(pkg_dir, manifest, service, chunk_bytes=64,
+                 observer=KillSwitch(2 + 3)).run()
+    entry = recover(tmp_path).entries[manifest.package_id]
+    assert entry.state.status is S.INTERRUPTED
+    assert sum(entry.state.bytes_sent.values()) == 3 * 64
+
+
 # -- whole-library upload ---------------------------------------------------------
 
 
@@ -382,3 +480,35 @@ def test_upload_library_skips_corrupt_and_completed(tmp_path):
     assert done.package_id not in results and bad.package_id not in results
     for m in manifests:
         assert hub.services[m.package_id].committed
+
+
+def test_upload_library_closes_every_client(tmp_path):
+    manifests = [build_package(tmp_path)[1] for _ in range(3)]
+    hub = MultiService()
+    doomed = manifests[0].package_id
+    hub.for_manifest(manifests[0]).fail_next = [("commit", ServerRejected("500"))]
+
+    class ClosingClient:
+        def __init__(self):
+            self.closed = False
+
+        def __getattr__(self, name):
+            return getattr(hub, name)
+
+        def close(self):
+            self.closed = True
+
+    clients = []
+
+    def factory():
+        clients.append(ClosingClient())
+        return clients[-1]
+
+    results = upload_library(recover(tmp_path), factory, parallelism=2, max_retries=0)
+
+    assert results[doomed].status is S.FAILED
+    assert sorted(pid for pid, st in results.items() if st.status is S.COMPLETE) == sorted(
+        m.package_id for m in manifests[1:]
+    )
+    assert len(clients) == 3
+    assert all(c.closed for c in clients)
