@@ -69,8 +69,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_serve(args) -> int:
     host, _, port = args.listen.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"--listen must be host:port, got {args.listen!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise ValueError(f"--listen must be host:port with a port in 0-65535, got {args.listen!r}")
     server = SyncServer(args.data_dir, host=host, port=int(port), max_body_mb=args.max_body_mb)
     print(f"listening on {server.base_url}, data in {args.data_dir}", flush=True)
     server.serve_forever()
@@ -195,7 +195,10 @@ def cmd_query(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _config_from_args(args)
-    report = analyze(args.package, route=args.route, reference=args.reference, config=cfg)
+    # as Paths, a missing file is an I/O error rather than inline text
+    route = Path(args.route) if args.route else None
+    reference = Path(args.reference) if args.reference else None
+    report = analyze(args.package, route=route, reference=reference, config=cfg)
     written = emit_report(report, args.out)
     print(f"{report.package_id}: {len(report.events)} event(s), "
           f"{len(report.segments)} segment(s)"

@@ -34,6 +34,16 @@ def haversine(p1: tuple[float, float], p2: tuple[float, float]) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
+def _source_text(source: str | Path) -> str:
+    """A Path is always read as a file; a str is the text itself unless it
+    names an existing file."""
+    try:
+        inline = isinstance(source, str) and not Path(source).is_file()
+    except OSError:  # e.g. longer than a file name may be
+        inline = True
+    return source if inline else Path(source).read_text(encoding="utf-8")
+
+
 @dataclass(frozen=True)
 class SnapResult:
     chainage_m: float
@@ -69,16 +79,13 @@ class Polyline:
     def from_geojson(cls, source) -> "Polyline":
         """Build from a GeoJSON LineString (coordinates in lon, lat order).
 
-        *source* may be a path, a JSON string, or a parsed dict; Feature
+        *source* may be a Path (always read as a file), a str naming an
+        existing file or holding the JSON itself, or a parsed dict; Feature
         and FeatureCollection wrappers are unwrapped.
         """
-        if isinstance(source, (str, Path)) and Path(str(source)).exists():
-            doc = json.loads(Path(source).read_text(encoding="utf-8"))
-        elif isinstance(source, (str, bytes)):
-            doc = json.loads(source)
-        else:
-            doc = source
-        geom = doc
+        if isinstance(source, (str, Path)):
+            source = _source_text(source)
+        geom = json.loads(source) if isinstance(source, (str, bytes)) else source
         if geom.get("type") == "FeatureCollection":
             feats = geom.get("features") or []
             if not feats:
@@ -105,17 +112,21 @@ class Polyline:
             self._lon[i] + w * (self._lon[i + 1] - self._lon[i]),
         )
 
-    def snap_many(self, points: Sequence[tuple[float, float]]) -> list[SnapResult]:
+    def snap_many(self, points: Sequence[tuple[float, float]]):
         """Snap each (lat, lon) point to the nearest location on the line.
 
-        *points* is a sequence of pairs or an (n, 2) array. Points are
-        processed in row blocks so that each fixes x segments temporary
-        stays near _SNAP_BLOCK_ELEMS values; rows are independent, so the
-        blocking changes no result.
+        *points* is a sequence of pairs or an (n, 2) array. Returns the
+        columns ``(chainage_m, cross_track_m, segment_index)``: two float64
+        arrays and one int64 array with one entry per point (all empty for
+        no points). A point equidistant from several segments goes to the
+        lowest segment index. Points are processed in row blocks so that
+        each fixes x segments temporary stays near _SNAP_BLOCK_ELEMS
+        values; rows are independent, so the blocking changes no result.
         """
-        if len(points) == 0:
-            return []
-        pts = np.asarray(points, dtype=float)
+        n = len(points)
+        pts = np.asarray(points, dtype=float).reshape(n, 2)
+        chainage, cross_track = np.empty(n), np.empty(n)
+        segment = np.empty(n, dtype=np.int64)
         plat = np.radians(pts[:, 0])[:, None]
         plon = np.radians(pts[:, 1])[:, None]
 
@@ -136,8 +147,7 @@ class Polyline:
         seg_span = self.chainage[1:] - self.chainage[:-1]
 
         step = max(1, _SNAP_BLOCK_ELEMS // seg_sq.size)
-        out = []
-        for r0 in range(0, len(points), step):
+        for r0 in range(0, n, step):
             px = (plon[r0 : r0 + step] * coslat) * EARTH_RADIUS_M
             py = plat[r0 : r0 + step] * EARTH_RADIUS_M
             w = ((px - ax) * dx + (py - ay) * dy) / seg_sq
@@ -148,18 +158,16 @@ class Polyline:
 
             best = np.argmin(dist, axis=1)  # first minimum -> lowest segment index
             rows = np.arange(best.size)
-            chain = self.chainage[best] + w[rows, best] * seg_span[best]
-            out.extend(
-                SnapResult(chainage_m=c, cross_track_m=d, segment_index=k)
-                for c, d, k in zip(
-                    chain.tolist(), dist[rows, best].tolist(), best.tolist()
-                )
-            )
-        return out
+            block = slice(r0, r0 + best.size)
+            chainage[block] = self.chainage[best] + w[rows, best] * seg_span[best]
+            cross_track[block] = dist[rows, best]
+            segment[block] = best
+        return chainage, cross_track, segment
 
 
 def snap_to_polyline(p: tuple[float, float], line: Polyline) -> SnapResult:
-    return line.snap_many([p])[0]
+    chainage, cross_track, segment = line.snap_many([p])
+    return SnapResult(float(chainage[0]), float(cross_track[0]), int(segment[0]))
 
 
 @dataclass(frozen=True)
@@ -174,12 +182,11 @@ def trace_accuracy(fixes, line: Polyline) -> GpsAccuracySummary:
     nearest-rank 95th percentile)."""
     if len(fixes) == 0:
         raise ValueError("trace_accuracy needs at least one fix")
-    return accuracy_summary(line.snap_many([(f.lat, f.lon) for f in fixes]))
+    return accuracy_summary(line.snap_many([(f.lat, f.lon) for f in fixes])[1])
 
 
-def accuracy_summary(snaps: Sequence[SnapResult]) -> GpsAccuracySummary:
-    """Cross-track mean and nearest-rank 95th percentile of nonempty snaps."""
-    cross = np.asarray([s.cross_track_m for s in snaps])
+def accuracy_summary(cross: np.ndarray) -> GpsAccuracySummary:
+    """Mean and nearest-rank 95th percentile of a nonempty cross-track array."""
     rank = max(1, math.ceil(0.95 * cross.size))  # nearest-rank percentile
     p95 = float(np.sort(cross)[rank - 1])
     return GpsAccuracySummary(
@@ -214,14 +221,13 @@ class ReferenceIriRecord:
 def load_reference_csv(source) -> tuple[list[ReferenceIriRecord], Optional[str]]:
     """Read reference records from CSV.
 
-    Expected header: ``begin_log_m,end_log_m,iri``. Comment lines starting
-    with ``#`` may precede it; a ``# units: <text>`` comment declares the
-    IRI units, returned as an opaque string.
+    *source* may be a Path (always read as a file) or a str naming an
+    existing file or holding the CSV text itself. Expected header:
+    ``begin_log_m,end_log_m,iri``. Comment lines starting with ``#`` may
+    precede it; a ``# units: <text>`` comment declares the IRI units,
+    returned as an opaque string.
     """
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = str(source)
+    text = _source_text(source)
     units = None
     data_lines = []
     for line in text.splitlines():

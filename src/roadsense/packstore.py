@@ -389,6 +389,8 @@ class Uploader:
         observer=None,
         sleep=time.sleep,
     ):
+        if chunk_bytes < 1:
+            raise ValueError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
         self.package_dir = Path(package_dir)
         self.manifest = manifest
         self.client = client

@@ -3,15 +3,15 @@
 ``analyze`` runs a validated package through spike detection, event
 classification, and (when a route is supplied) chainage snapping,
 alignment, per-segment roughness, reference joining, and fit metrics.
-The streams stay decoded numpy columns throughout. ``emit_report``
-writes the result as machine-readable files plus two standalone SVG
-figures; report.json is canonical JSON so identical inputs produce
-identical bytes.
+The streams and the per-fix snap results stay numpy columns throughout.
+``emit_report`` writes the result as machine-readable files plus two
+standalone SVG figures; report.json is canonical JSON so identical
+inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -62,8 +62,9 @@ class AnalysisReport:
 
     The stream-sized fields feed the figures and the trace: ``samples``
     and ``gps`` are the decoded StreamColumns of the package (empty when
-    absent), ``snaps`` one SnapResult per fix. Only the summary fields go
-    into report.json.
+    absent); ``chainage_m`` and ``cross_track_m`` are float64 arrays with
+    one entry per fix from snapping to the route (empty without a route).
+    Only the summary fields go into report.json.
     """
 
     package_id: str
@@ -75,7 +76,8 @@ class AnalysisReport:
     reference_units: Optional[str] = None
     samples: tuple = ()
     gps: tuple = ()
-    snaps: tuple = ()
+    chainage_m: np.ndarray = field(default_factory=lambda: np.empty(0))
+    cross_track_m: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def to_doc(self) -> dict:
         return {
@@ -151,10 +153,10 @@ def analyze(package_dir, route=None, reference=None, config: Config | None = Non
     an argument error: joining needs chainage.
     """
     cfg = config or Config()
+    if reference is not None and route is None:
+        raise ValueError("a reference IRI file requires a route (chainage comes from snapping)")
     line = _load_route(route)
     refs, units = _load_reference(reference)
-    if refs is not None and line is None:
-        raise ValueError("a reference IRI file requires a route (chainage comes from snapping)")
 
     if cfg.frame_tol_ms < 0:
         raise ValueError(f"frame_tol_ms must be >= 0, got {cfg.frame_tol_ms}")
@@ -184,13 +186,13 @@ def analyze(package_dir, route=None, reference=None, config: Config | None = Non
 
     gps_accuracy = None
     segments: tuple = ()
-    snaps: tuple = ()
+    chainage_m = cross_track_m = np.empty(0)
     if line is not None and len(gps) > 0:
-        snaps = tuple(line.snap_many(np.column_stack((gps["lat"], gps["lon"]))))
-        gps_accuracy = accuracy_summary(snaps)
+        chainage_m, cross_track_m, _ = line.snap_many(np.column_stack((gps["lat"], gps["lon"])))
+        gps_accuracy = accuracy_summary(cross_track_m)
         # noise can snap a fix slightly behind its predecessor; chainage
         # used for segmentation must not run backward
-        fix_chain = np.maximum.accumulate([s.chainage_m for s in snaps])
+        fix_chain = np.maximum.accumulate(chainage_m)
         sample_chain = np.interp(t.astype(float), gps["t"].astype(float), fix_chain)
         rows = align_streams(samples, gps, cfg.gps_max_gap_ms)
         segments = tuple(
@@ -216,7 +218,8 @@ def analyze(package_dir, route=None, reference=None, config: Config | None = Non
         reference_units=units,
         samples=samples,
         gps=gps,
-        snaps=snaps,
+        chainage_m=chainage_m,
+        cross_track_m=cross_track_m,
     )
 
 
@@ -238,43 +241,27 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
 
 
 def _trace_doc(report: AnalysisReport) -> dict:
-    features = []
+    """One Point per fix; with a route, each carries its chainage and
+    cross-track, and a ``role: trace`` feature joining the fixes leads."""
     gps = report.gps
-    fixes = zip(gps["lon"].tolist(), gps["lat"].tolist(), gps["t"].tolist()) if len(gps) else ()
-    if report.snaps:
-        coords = []
-        for (lon, lat, t), snap in zip(fixes, report.snaps):
-            coords.append([lon, lat])
-            features.append(
-                {
-                    "type": "Feature",
-                    "geometry": {"type": "Point", "coordinates": [lon, lat]},
-                    "properties": {
-                        "t_ms": t,
-                        "chainage_m": snap.chainage_m,
-                        "cross_track_m": snap.cross_track_m,
-                    },
-                }
-            )
-        features.insert(
-            0,
-            {
-                "type": "Feature",
-                "geometry": {"type": "LineString", "coordinates": coords}
-                if len(coords) >= 2
-                else {"type": "Point", "coordinates": coords[0] if coords else [0.0, 0.0]},
-                "properties": {"role": "trace"},
-            },
+    if len(gps) == 0:
+        return {"type": "FeatureCollection", "features": []}
+    coords = [[lon, lat] for lon, lat in zip(gps["lon"].tolist(), gps["lat"].tolist())]
+    props = [{"t_ms": t} for t in gps["t"].tolist()]
+    features = []
+    if len(report.chainage_m):
+        for p, c, d in zip(props, report.chainage_m.tolist(), report.cross_track_m.tolist()):
+            p.update(chainage_m=c, cross_track_m=d)
+        geometry = (
+            {"type": "LineString", "coordinates": coords}
+            if len(coords) >= 2
+            else {"type": "Point", "coordinates": coords[0]}
         )
-    else:
-        for lon, lat, t in fixes:
-            features.append(
-                {
-                    "type": "Feature",
-                    "geometry": {"type": "Point", "coordinates": [lon, lat]},
-                    "properties": {"t_ms": t},
-                }
-            )
+        features.append({"type": "Feature", "geometry": geometry, "properties": {"role": "trace"}})
+    features += [
+        {"type": "Feature", "geometry": {"type": "Point", "coordinates": c}, "properties": p}
+        for c, p in zip(coords, props)
+    ]
     return {"type": "FeatureCollection", "features": features}
 
 

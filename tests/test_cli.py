@@ -124,6 +124,8 @@ def test_argument_errors_exit_2(tmp_path, capsys):
         "--reference", str(ref),
     ]) == 2  # reference without route, checked before I/O
     assert main(["serve", "--listen", "nope", "--data-dir", str(tmp_path)]) == 2
+    assert main(["serve", "--listen", "127.0.0.1:70000", "--data-dir", str(tmp_path)]) == 2
+    assert "0-65535" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["query", "--package", str(pkg), "--stream", "bogus", "--at", "0"])
     assert exc.value.code == 2
@@ -138,6 +140,27 @@ def test_missing_paths_exit_3(tmp_path, capsys):
         "upload", "--package", str(tmp_path / "void"),
         "--endpoint", "http://127.0.0.1:9",
     ]) == 3
+    capsys.readouterr()
+
+    # route and reference load before the package is read
+    analyze_args = ["analyze", "--package", str(tmp_path / "void"), "--out", str(tmp_path / "r")]
+    assert main(analyze_args + ["--route", str(tmp_path / "void.geojson")]) == 3
+    assert "void.geojson" in capsys.readouterr().err
+    route = tmp_path / "route.geojson"
+    coords = [[-92.0, 38.0], [-92.0, 38.001]]
+    route.write_text(json.dumps({"type": "LineString", "coordinates": coords}))
+    missing_ref = ["--reference", str(tmp_path / "void.csv")]
+    assert main(analyze_args + ["--route", str(route)] + missing_ref) == 3
+    assert "void.csv" in capsys.readouterr().err
+
+
+def test_chunk_bytes_below_one_exits_2_before_any_request(sim_lib, capsys):
+    _, pkg_dir, _, _ = sim_lib
+    assert main([
+        "upload", "--package", str(pkg_dir), "--endpoint", "http://127.0.0.1:9",
+        "--chunk-bytes", "0",
+    ]) == 2
+    assert "chunk_bytes must be >= 1" in capsys.readouterr().err
 
 
 def test_corrupt_package_exits_1(tmp_path, capsys):

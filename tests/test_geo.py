@@ -24,6 +24,7 @@ from roadsense.geo import (
     snap_to_polyline,
     trace_accuracy,
 )
+from roadsense.drivesim import default_route
 from roadsense.kinematics import SegmentReport
 from roadsense.model import GpsFix
 
@@ -100,6 +101,21 @@ def test_from_geojson_unwraps_wrappers(tmp_path):
     p = tmp_path / "route.geojson"
     p.write_text(json.dumps(geom))
     assert Polyline.from_geojson(p).length_m == line.length_m
+    assert Polyline.from_geojson(str(p)).length_m == line.length_m
+
+
+def test_from_geojson_parses_text_longer_than_a_file_name():
+    route = default_route()
+    text = json.dumps(
+        {"type": "LineString", "coordinates": [[lon, lat] for lat, lon in route.vertices]}
+    )
+    assert len(text) > 255  # longer than a file name may be
+    assert Polyline.from_geojson(text).vertices == route.vertices
+
+
+def test_from_geojson_missing_path_is_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        Polyline.from_geojson(tmp_path / "missing.geojson")
 
 
 def test_from_geojson_rejects_other_geometries():
@@ -199,8 +215,33 @@ def test_cross_track_never_exceeds_vertex_distance():
         assert snap.cross_track_m <= nearest_vertex * (1 + 1e-6) + 1e-9
 
 
+def snap_rows(line, points):
+    """snap_many's columns as (chainage_m, cross_track_m, segment_index) rows."""
+    return list(zip(*(col.tolist() for col in line.snap_many(points))))
+
+
+def scalar_snap_rows(line, points):
+    snaps = [snap_to_polyline(p, line) for p in points]
+    return [(s.chainage_m, s.cross_track_m, s.segment_index) for s in snaps]
+
+
 def test_snap_many_empty():
-    assert straight_line().snap_many([]) == []
+    chainage, cross_track, segment = straight_line().snap_many([])
+    assert chainage.shape == cross_track.shape == segment.shape == (0,)
+    assert (chainage.dtype, cross_track.dtype, segment.dtype) == (
+        np.float64, np.float64, np.int64,
+    )
+
+
+def test_snap_many_returns_one_entry_per_point_in_each_column():
+    line = bent_line()
+    points = np.array([(38.0005, -92.0001), (38.0019, -92.002), (38.0016, -92.0041)])
+    chainage, cross_track, segment = line.snap_many(points)
+    assert chainage.shape == cross_track.shape == segment.shape == (3,)
+    assert (chainage.dtype, cross_track.dtype, segment.dtype) == (
+        np.float64, np.float64, np.int64,
+    )
+    assert snap_rows(line, points) == scalar_snap_rows(line, points)
 
 
 def zigzag_line(n):
@@ -222,8 +263,8 @@ def test_blocked_snap_matches_per_point_snap(points, vertex_ids, block_elems):
     # vertices are equidistant from their two segments: the earlier one wins
     points = points + [line.vertices[i] for i in vertex_ids]
     with mock.patch.object(geo, "_SNAP_BLOCK_ELEMS", block_elems):
-        got = line.snap_many(points)
-    assert got == [snap_to_polyline(p, line) for p in points]
+        got = snap_rows(line, points)
+    assert got == scalar_snap_rows(line, points)
 
 
 def test_snap_ties_go_to_the_lowest_segment():
@@ -235,9 +276,9 @@ def test_snap_ties_go_to_the_lowest_segment():
         (38.0 + rng.uniform(-2e-4, 1.2e-3), -92.0 + rng.uniform(-8e-4, 3e-4)) for _ in range(50)
     ]
     with mock.patch.object(geo, "_SNAP_BLOCK_ELEMS", 7):
-        snaps = line.snap_many(points)
-    assert all(s.segment_index in (0, 1) for s in snaps)
-    assert any(s.segment_index == 0 for s in snaps)
+        _, _, segment = line.snap_many(points)
+    assert set(segment.tolist()) <= {0, 1}
+    assert 0 in segment
 
 
 def test_snap_many_spans_several_blocks():
@@ -247,7 +288,7 @@ def test_snap_many_spans_several_blocks():
         (38.0 + rng.uniform(0.0, 0.6), -92.0 + rng.uniform(-0.001, 0.0014)) for _ in range(2000)
     ]
     assert len(points) > 2 * (geo._SNAP_BLOCK_ELEMS // (len(line.vertices) - 1))
-    assert line.snap_many(points) == [snap_to_polyline(p, line) for p in points]
+    assert snap_rows(line, points) == scalar_snap_rows(line, points)
 
 
 # -- trace accuracy -------------------------------------------------------------
@@ -350,8 +391,22 @@ def test_load_reference_csv(tmp_path):
         ReferenceIriRecord(0.0, 160.9, 95.2),
         ReferenceIriRecord(160.9, 321.8, 120.0),
     ]
+    assert load_reference_csv(str(p)) == (records, units)
     with pytest.raises(ValidationError):
         load_reference_csv("a,b\n1,2\n")
+    with pytest.raises(FileNotFoundError):
+        load_reference_csv(tmp_path / "missing.csv")
+
+
+def test_load_reference_csv_parses_text_longer_than_a_file_name():
+    rows = "".join(f"{i * 100},{(i + 1) * 100},{1.0 + i / 10}\n" for i in range(40))
+    # no "/": a missing first path component would hide the long name
+    text = "# ARAN export\nbegin_log_m,end_log_m,iri\n" + rows
+    assert len(text) > 255  # longer than a file name may be
+    records, units = load_reference_csv(text)
+    assert units is None
+    assert len(records) == 40
+    assert records[-1] == ReferenceIriRecord(3900.0, 4000.0, 4.9)
 
 
 # -- regression metrics ------------------------------------------------------------

@@ -233,6 +233,17 @@ def test_uploader_happy_path(tmp_path):
     assert read_upload_state(pkg_dir).status is S.COMPLETE
 
 
+@pytest.mark.parametrize("chunk_bytes", [0, -1])
+def test_uploader_rejects_chunk_bytes_below_one(tmp_path, chunk_bytes):
+    pkg_dir, manifest = build_package(tmp_path)
+    service = FakeSyncService(manifest)
+    before = read_upload_state(pkg_dir)
+    with pytest.raises(ValueError, match="chunk_bytes must be >= 1"):
+        Uploader(pkg_dir, manifest, service, chunk_bytes=chunk_bytes)
+    assert service.appended_bytes == 0
+    assert read_upload_state(pkg_dir) == before
+
+
 def test_uploader_resumes_from_server_offset_after_drop(tmp_path):
     pkg_dir, manifest = build_package(tmp_path)
     service = DroppyService(manifest, drop_after_bytes=max(1, total_bytes(manifest) // 2))

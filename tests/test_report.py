@@ -13,7 +13,7 @@ from roadsense import model, package
 from roadsense import report as report_module
 from roadsense.drivesim import default_route, default_scenario, score_detections, write_package
 from roadsense.errors import ValidationError
-from roadsense.geo import Polyline, ReferenceIriRecord
+from roadsense.geo import Polyline, ReferenceIriRecord, snap_to_polyline
 from roadsense.kinematics import EventKind
 from roadsense.report import (
     AnalysisReport,
@@ -228,6 +228,68 @@ def test_fixed_drive_report_bytes_are_pinned(fixed_drive, tmp_path):
     emit_report(analyze(pkg_dir, route=route, reference=ref), tmp_path)
     got = {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in EXPECTED_FILES}
     assert got == FIXED_DRIVE_DIGESTS
+
+
+# sha256 of every report file for seed 3, 120 s, analyzed without a route,
+# recorded before trace.geojson was built from snap columns
+UNROUTED_DRIVE_DIGESTS = {
+    "report.json": "8d5eee3aea61b97c7f6ad30a9a931117199d1e09d50314bd591d298ad7052dbb",
+    "segments.csv": "d878b3514505a621d0e54acc051c0a8398525d04d1ade393fc4670f1f1dbbd77",
+    "events.csv": "14ab5cee8dc7a073879e865f17342361accfb77358daeaa35bd68e8a6851911b",
+    "trace.geojson": "b7d4c43bf7ce25431d905e7db59c83165f63e6b1b70dea7fa620eb7e0bf2c52d",
+    "accel.svg": "3d411b342b292227cb9fce9d37e45ccf2af424c8b74f0c10a49505237fcf9bd6",
+    "fit.svg": "579f8bc6fa737613520c53589c46b02231343fee3e3879776fef5fc4d9a11d51",
+}
+
+
+def test_unrouted_drive_report_bytes_are_pinned(tmp_path):
+    pkg_dir = write_package(default_scenario(3, duration_s=120.0), tmp_path / "lib")[0]
+    report = analyze(pkg_dir)
+    assert len(report.chainage_m) == len(report.cross_track_m) == 0
+    emit_report(report, tmp_path / "out")
+    got = {
+        n: hashlib.sha256((tmp_path / "out" / n).read_bytes()).hexdigest()
+        for n in EXPECTED_FILES
+    }
+    assert got == UNROUTED_DRIVE_DIGESTS
+
+
+def test_routed_single_fix_trace_is_a_point(tmp_path):
+    scenario = default_scenario(3, duration_s=0.5, events=())
+    pkg_dir = write_package(scenario, tmp_path / "lib")[0]
+    report = analyze(pkg_dir, route=scenario.route)
+    assert len(report.gps) == 1
+    emit_report(report, tmp_path / "out")
+    lon, lat = report.gps["lon"][0].item(), report.gps["lat"][0].item()
+    snap = snap_to_polyline((lat, lon), scenario.route)
+    assert json.loads((tmp_path / "out" / "trace.geojson").read_bytes()) == {
+        "type": "FeatureCollection",
+        "features": [
+            {
+                "type": "Feature",
+                "geometry": {"type": "Point", "coordinates": [lon, lat]},
+                "properties": {"role": "trace"},
+            },
+            {
+                "type": "Feature",
+                "geometry": {"type": "Point", "coordinates": [lon, lat]},
+                "properties": {
+                    "t_ms": 0,
+                    "chainage_m": snap.chainage_m,
+                    "cross_track_m": snap.cross_track_m,
+                },
+            },
+        ],
+    }
+
+
+def test_routed_analyze_keeps_one_snap_entry_per_fix(fixed_drive):
+    pkg_dir, route, ref = fixed_drive
+    report = analyze(pkg_dir, route=route, reference=ref)
+    n = len(report.gps)
+    assert report.chainage_m.shape == report.cross_track_m.shape == (n,)
+    assert report.gps_accuracy.n_fixes == n
+    assert report.gps_accuracy.mean_cross_track_m == float(report.cross_track_m.mean())
 
 
 def test_routed_analyze_decodes_and_snaps_once(fixed_drive, monkeypatch):
