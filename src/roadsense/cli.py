@@ -89,11 +89,26 @@ def _config_from_args(args) -> Config:
     return load_config(getattr(args, "config", None), overrides)
 
 
+def _report_invalid(check) -> int:
+    """Print why a package is invalid; returns the exit code for it."""
+    for line in check.summary_lines():
+        print(line)
+    return EXIT_VALIDATION
+
+
+def _print_corrupt(entry) -> None:
+    print(f"{entry.package_id}: CORRUPT ({entry.error or 'invalid package'})")
+
+
 def cmd_upload(args) -> int:
     from .syncclient import SyncClient
 
     cfg = _config_from_args(args)
     if args.package:
+        # a corrupt package could never commit; refuse it before any request
+        check = validate_package(args.package)
+        if not check.valid:
+            return _report_invalid(check)
         if args.chaos:
             profile = NetworkProfile.from_doc(
                 json.loads(Path(args.chaos).read_text(encoding="utf-8"))
@@ -122,6 +137,9 @@ def cmd_upload(args) -> int:
         return EXIT_OK if final.status is UploadStatus.COMPLETE else EXIT_NETWORK
 
     library = recover(args.library)
+    corrupt = [entry for entry in library if not entry.ok]
+    for entry in corrupt:
+        _print_corrupt(entry)
     results = upload_library(
         library,
         lambda: SyncClient(args.endpoint),
@@ -131,11 +149,11 @@ def cmd_upload(args) -> int:
         backoff_base_s=cfg.backoff_base_s,
         backoff_cap_s=cfg.backoff_cap_s,
     )
-    ok = True
     for pid, state in sorted(results.items()):
         print(f"{pid}: {state.status.value}")
-        ok = ok and state.status is UploadStatus.COMPLETE
-    return EXIT_OK if ok else EXIT_NETWORK
+    if any(state.status is not UploadStatus.COMPLETE for state in results.values()):
+        return EXIT_NETWORK
+    return EXIT_VALIDATION if corrupt else EXIT_OK
 
 
 def cmd_pull(args) -> int:
@@ -212,7 +230,7 @@ def cmd_status(args) -> int:
     library = recover(args.library)
     for entry in library:
         if entry.error or entry.manifest is None:
-            print(f"{entry.package_id}: CORRUPT ({entry.error or 'invalid package'})")
+            _print_corrupt(entry)
             continue
         total = sum(b.bytes for b in entry.manifest.blobs)
         state = entry.state
@@ -230,9 +248,7 @@ def cmd_validate(args) -> int:
     if check.valid:
         print(f"{check.package_id}: valid")
         return EXIT_OK
-    for line in check.summary_lines():
-        print(line)
-    return EXIT_VALIDATION
+    return _report_invalid(check)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:

@@ -18,6 +18,10 @@ A crash in mid-append can leave an unterminated last line in the log;
 that commit was never acknowledged, so boot truncates it. A corrupt line
 that is terminated still refuses to boot.
 
+Refusals: a refused request raises ``RequestError`` (or a subclass), and
+that exception is the reply: status, ``{"error": ...}`` body and headers.
+The one dispatch sends it, so endpoint bodies hold only the success path.
+
 Latency: the handler turns Nagle's algorithm off (TCP_NODELAY).
 ``BaseHTTPRequestHandler`` sends the headers and the body of a reply in
 two writes; with Nagle on, the body waits for the client's delayed ACK
@@ -39,13 +43,13 @@ import re
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from .canonical import dumps_canonical
 from .errors import ParseError, ValidationError
-from .model import PackageManifest, parse_manifest, serialize_manifest
+from .model import BlobEntry, PackageManifest, parse_manifest, serialize_manifest
 from .package import sha256_file
 
 log = logging.getLogger(__name__)
@@ -53,6 +57,7 @@ log = logging.getLogger(__name__)
 COMMIT_LOG_NAME = "commits.jsonl"
 PACKAGES_DIRNAME = "packages"
 OFFSET_HEADER = "Upload-Offset"
+SUBSCRIBER_QUEUE_SIZE = 256  # commits a subscriber may lag before it is dropped
 
 _ROUTE_PACKAGES = re.compile(r"^/v1/packages$")
 _ROUTE_COMMIT = re.compile(r"^/v1/packages/([^/]+)/commit$")
@@ -74,26 +79,43 @@ class EventRecord:
         }
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
+class _Blob:
+    """One manifest blob on the server: its entry, its durable offset and
+    the lock that serializes appends to it."""
+
+    entry: BlobEntry
+    offset: int = 0
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+
 class ServerPackage:
-    manifest: PackageManifest
-    committed: bool = False
-    commit_seq: int | None = None
-    committed_at_ms: int | None = None
-    listing_doc: dict | None = None  # this package's item in committed_since
+    """A registered manifest, one ``_Blob`` per manifest blob, and the
+    commit event once the package is committed."""
+
+    def __init__(self, manifest: PackageManifest):
+        self.manifest = manifest
+        self.blobs = {b.name: _Blob(b) for b in manifest.blobs}
+        self.event: EventRecord | None = None
+        self.listing_doc: dict | None = None  # this package's item in committed_since
+
+    @property
+    def committed(self) -> bool:
+        return self.event is not None
+
+    def blob(self, name: str) -> _Blob:
+        blob = self.blobs.get(name)
+        if blob is None:
+            raise NotFound(f"unknown blob {name!r}")
+        return blob
 
     def mark_committed(self, event: EventRecord) -> None:
-        self.committed = True
-        self.commit_seq = event.commit_seq
-        self.committed_at_ms = event.committed_at_ms
+        self.event = event
         self.listing_doc = {
             "commit_seq": event.commit_seq,
             "committed_at_ms": event.committed_at_ms,
             "manifest": json.loads(serialize_manifest(self.manifest)),
         }
-
-    def commit_event(self) -> EventRecord:
-        return EventRecord(self.commit_seq, self.manifest.package_id, self.committed_at_ms)
 
 
 class Registry:
@@ -112,8 +134,6 @@ class Registry:
         self.lock = threading.RLock()
         self.packages: dict[str, ServerPackage] = {}
         self.events: list[EventRecord] = []
-        self._blob_locks: dict[tuple[str, str], threading.Lock] = {}
-        self._blob_offsets: dict[tuple[str, str], int] = {}
         self._replay()
 
     def _replay(self) -> None:
@@ -121,12 +141,11 @@ class Registry:
             manifest_path = child / "manifest.json"
             if not child.is_dir() or not manifest_path.is_file():
                 continue
-            manifest = parse_manifest(manifest_path.read_bytes())
-            self.packages[manifest.package_id] = ServerPackage(manifest=manifest)
-            for blob in manifest.blobs:
-                path = child / blob.name
-                size = path.stat().st_size if path.is_file() else 0
-                self._blob_offsets[(manifest.package_id, blob.name)] = size
+            pkg = ServerPackage(parse_manifest(manifest_path.read_bytes()))
+            self.packages[pkg.manifest.package_id] = pkg
+            for name, blob in pkg.blobs.items():
+                path = child / name
+                blob.offset = path.stat().st_size if path.is_file() else 0
         for lineno, line in enumerate(self._read_commit_log(), start=1):
             line = line.strip()
             if not line:
@@ -189,21 +208,16 @@ class Registry:
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, pkg_dir / "manifest.json")
-            pkg = ServerPackage(manifest=manifest)
+            pkg = ServerPackage(manifest)
             self.packages[manifest.package_id] = pkg
-            for blob in manifest.blobs:
-                self._blob_offsets.setdefault((manifest.package_id, blob.name), 0)
             return 201, self._session_doc(pkg)
 
     def _session_doc(self, pkg: ServerPackage) -> dict:
         return {
             "package_id": pkg.manifest.package_id,
             "status": "committed" if pkg.committed else "open",
-            "commit_seq": pkg.commit_seq,
-            "blobs": {
-                b.name: self._blob_offsets.get((pkg.manifest.package_id, b.name), 0)
-                for b in pkg.manifest.blobs
-            },
+            "commit_seq": pkg.event.commit_seq if pkg.event else None,
+            "blobs": {name: blob.offset for name, blob in pkg.blobs.items()},
         }
 
     # -- blobs ------------------------------------------------------------
@@ -215,15 +229,8 @@ class Registry:
             raise NotFound(f"unknown package {package_id}")
         return pkg
 
-    def _blob_lock(self, key: tuple[str, str]) -> threading.Lock:
-        with self.lock:
-            return self._blob_locks.setdefault(key, threading.Lock())
-
     def blob_offset(self, package_id: str, name: str) -> int:
-        pkg = self._get_package(package_id)
-        if pkg.manifest.blob(name) is None:
-            raise NotFound(f"unknown blob {name!r}")
-        return self._blob_offsets.get((package_id, name), 0)
+        return self._get_package(package_id).blob(name).offset
 
     def append_chunk(self, package_id: str, name: str, offset: int, data: bytes) -> int:
         """Append a chunk starting exactly at the durable offset.
@@ -233,34 +240,29 @@ class Registry:
         offset. Returns the new durable offset.
         """
         pkg = self._get_package(package_id)
-        blob = pkg.manifest.blob(name)
-        if blob is None:
-            raise NotFound(f"unknown blob {name!r}")
+        blob = pkg.blob(name)
         if pkg.committed:
             raise Conflict("package already committed")
-        key = (package_id, name)
-        with self._blob_lock(key):
-            durable = self._blob_offsets.get(key, 0)
+        with blob.lock:
+            durable = blob.offset
             end = offset + len(data)
             if end <= durable:
                 return durable  # already durable; replay is a no-op
             if offset != durable:
                 raise OffsetError(durable)
-            if end > blob.bytes:
-                raise OffsetError(durable, detail=f"chunk exceeds declared size {blob.bytes}")
+            if end > blob.entry.bytes:
+                raise OffsetError(durable, detail=f"chunk exceeds declared size {blob.entry.bytes}")
             path = self.packages_dir / package_id / name
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(path, "ab") as f:
                 f.write(data)
                 f.flush()
                 os.fsync(f.fileno())
-            self._blob_offsets[key] = end
+            blob.offset = end
             return end
 
     def read_blob(self, package_id: str, name: str) -> bytes:
-        pkg = self._get_package(package_id)
-        if pkg.manifest.blob(name) is None:
-            raise NotFound(f"unknown blob {name!r}")
+        self._get_package(package_id).blob(name)  # NotFound for an unknown blob
         path = self.packages_dir / package_id / name
         if not path.is_file():
             return b""
@@ -279,24 +281,21 @@ class Registry:
         """
         pkg = self._get_package(package_id)
         with self.lock:
-            if pkg.committed:
-                return pkg.commit_event(), False
+            if pkg.event is not None:
+                return pkg.event, False
             incomplete = [
-                b.name
-                for b in pkg.manifest.blobs
-                if self._blob_offsets.get((package_id, b.name), 0) != b.bytes
+                name for name, blob in pkg.blobs.items() if blob.offset != blob.entry.bytes
             ]
             if incomplete:
                 raise Conflict(f"blobs incomplete: {', '.join(incomplete)}", blobs=incomplete)
-        for b in pkg.manifest.blobs:
-            if b.bytes == 0:
+        for name, blob in pkg.blobs.items():
+            if blob.entry.bytes == 0:
                 continue
-            path = self.packages_dir / package_id / b.name
-            if sha256_file(path) != b.sha256:
-                raise DigestMismatch(b.name)
+            if sha256_file(self.packages_dir / package_id / name) != blob.entry.sha256:
+                raise DigestMismatch(name)
         with self.lock:
-            if pkg.committed:
-                return pkg.commit_event(), False
+            if pkg.event is not None:
+                return pkg.event, False
             seq = len(self.events) + 1
             event = EventRecord(
                 commit_seq=seq,
@@ -328,33 +327,69 @@ class Registry:
             return list(self.events)
 
 
-class NotFound(Exception):
-    pass
+class RequestError(Exception):
+    """A refused request, and the reply to it: ``status`` with the JSON body
+    ``{"error": message, **fields}`` and ``headers``. ``close`` ends the
+    connection after the reply, for a request whose body was not read."""
 
-
-class Conflict(Exception):
-    def __init__(self, message: str, blobs: list[str] | None = None):
+    def __init__(
+        self, status: int, message: str, *, headers: dict | None = None,
+        close: bool = False, **fields,
+    ):
         super().__init__(message)
+        self.status = status
+        self.headers = headers
+        self.close = close
+        self.fields = fields
+
+
+class NotFound(RequestError):
+    def __init__(self, message: str):
+        super().__init__(404, message)
+
+
+class Conflict(RequestError):
+    def __init__(self, message: str, blobs: list[str] | None = None):
+        super().__init__(409, message, **({} if blobs is None else {"blobs": blobs}))
         self.blobs = blobs or []
 
 
-class DigestMismatch(Exception):
+class DigestMismatch(RequestError):
     def __init__(self, blob: str):
-        super().__init__(f"sha256 mismatch for blob {blob!r}")
+        super().__init__(422, f"sha256 mismatch for blob {blob!r}", blob=blob)
         self.blob = blob
 
 
-class OffsetError(Exception):
+class OffsetError(RequestError):
     def __init__(self, expected: int, detail: str | None = None):
-        super().__init__(detail or f"expected offset {expected}")
+        super().__init__(
+            416, detail or f"expected offset {expected}",
+            headers={OFFSET_HEADER: expected}, expected_offset=expected,
+        )
         self.expected = expected
+
+
+def _parse_int(text: str, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise RequestError(400, f"{name} must be an integer") from None
+
+
+def _parse_manifest_body(body: bytes) -> PackageManifest:
+    try:
+        return parse_manifest(body)
+    except ValidationError as e:
+        raise RequestError(400, str(e), field=e.field) from e
+    except ParseError as e:
+        raise RequestError(400, str(e), offset=e.offset) from e
 
 
 class _Subscriber:
     __slots__ = ("queue", "dropped")
 
-    def __init__(self, maxsize: int):
-        self.queue: queue.Queue = queue.Queue(maxsize=maxsize)
+    def __init__(self):
+        self.queue: queue.Queue = queue.Queue(maxsize=SUBSCRIBER_QUEUE_SIZE)
         self.dropped = False
 
 
@@ -366,13 +401,12 @@ class EventHub:
     its last seen seq.
     """
 
-    def __init__(self, queue_size: int = 256):
+    def __init__(self):
         self.lock = threading.Lock()
-        self.queue_size = queue_size
         self._subs: set[_Subscriber] = set()
 
     def register(self) -> _Subscriber:
-        sub = _Subscriber(self.queue_size)
+        sub = _Subscriber()
         with self.lock:
             self._subs.add(sub)
         return sub
@@ -429,151 +463,81 @@ def _make_handler(registry: Registry, hub: EventHub, stopping: threading.Event, 
             self.send_header("Content-Length", "0")
             self.end_headers()
 
-        def _read_body(self) -> bytes | None:
+        def _read_body(self) -> bytes:
             length = self.headers.get("Content-Length")
             if length is None:
-                self._send_json(411, {"error": "length_required"})
-                return None
+                raise RequestError(411, "length_required")
             try:
                 n = int(length)
             except ValueError:
                 n = -1
             if n < 0:
                 # the body's extent is unknown, so the connection cannot be reused
-                self.close_connection = True
-                self._send_json(400, {"error": "Content-Length must be a nonnegative integer"})
-                return None
+                raise RequestError(400, "Content-Length must be a nonnegative integer", close=True)
             if n > max_body_bytes:
-                self.close_connection = True
-                self._send_json(413, {"error": "body_too_large", "max_bytes": max_body_bytes})
-                return None
+                raise RequestError(413, "body_too_large", close=True, max_bytes=max_body_bytes)
             return self.rfile.read(n)
 
-        def _query(self) -> dict:
-            parsed = urllib.parse.urlsplit(self.path)
-            return dict(urllib.parse.parse_qsl(parsed.query))
+        def _query_int(self, name: str) -> int:
+            query = dict(urllib.parse.parse_qsl(self.query))
+            return _parse_int(query.get(name, "0"), name)
 
-        @property
-        def route(self) -> str:
-            return urllib.parse.urlsplit(self.path).path
+        # -- dispatch -----------------------------------------------------
 
-        # -- methods ------------------------------------------------------
-
-        def do_POST(self):
-            path = self.route
-            if _ROUTE_PACKAGES.match(path):
-                return self._create_package()
-            m = _ROUTE_COMMIT.match(path)
-            if m:
-                return self._commit(urllib.parse.unquote(m.group(1)))
-            self._send_json(404, {"error": "no_such_endpoint"})
-
-        def do_PUT(self):
-            m = _ROUTE_BLOB.match(self.route)
-            if not m:
-                return self._send_json(404, {"error": "no_such_endpoint"})
-            self._put_chunk(
-                urllib.parse.unquote(m.group(1)), urllib.parse.unquote(m.group(2))
-            )
-
-        def do_HEAD(self):
-            m = _ROUTE_BLOB.match(self.route)
-            if not m:
-                return self._send_empty(404)
+        def _dispatch(self):
+            parts = urllib.parse.urlsplit(self.path)
+            self.query = parts.query
             try:
-                offset = registry.blob_offset(
-                    urllib.parse.unquote(m.group(1)), urllib.parse.unquote(m.group(2))
-                )
-            except NotFound:
-                return self._send_empty(404)
-            self._send_empty(200, {OFFSET_HEADER: offset})
+                for pattern, endpoint in self._ROUTES[self.command]:
+                    m = pattern.match(parts.path)
+                    if m:
+                        return endpoint(self, *map(urllib.parse.unquote, m.groups()))
+                raise RequestError(404, "no_such_endpoint")
+            except RequestError as e:
+                if e.close:
+                    self.close_connection = True
+                if self.command == "HEAD":
+                    self._send_empty(e.status)
+                else:
+                    self._send_json(e.status, {"error": str(e), **e.fields}, e.headers)
 
-        def do_GET(self):
-            path = self.route
-            if _ROUTE_STREAM.match(path):
-                return self._stream()
-            if _ROUTE_PACKAGES.match(path):
-                try:
-                    since = int(self._query().get("since_seq", "0"))
-                except ValueError:
-                    return self._send_json(400, {"error": "since_seq must be an integer"})
-                return self._send_json(200, registry.committed_since(since))
-            m = _ROUTE_BLOB.match(path)
-            if m:
-                try:
-                    data = registry.read_blob(
-                        urllib.parse.unquote(m.group(1)), urllib.parse.unquote(m.group(2))
-                    )
-                except NotFound as e:
-                    return self._send_json(404, {"error": str(e)})
-                return self._send_body(200, data, "application/octet-stream")
-            self._send_json(404, {"error": "no_such_endpoint"})
+        do_GET = do_POST = do_PUT = do_HEAD = _dispatch
 
         # -- endpoint bodies ----------------------------------------------
 
         def _create_package(self):
-            body = self._read_body()
-            if body is None:
-                return
-            try:
-                manifest = parse_manifest(body)
-            except ValidationError as e:
-                return self._send_json(400, {"error": str(e), "field": e.field})
-            except ParseError as e:
-                return self._send_json(400, {"error": str(e), "offset": e.offset})
-            try:
-                status, doc = registry.create_package(manifest)
-            except Conflict as e:
-                return self._send_json(409, {"error": str(e)})
+            manifest = _parse_manifest_body(self._read_body())
+            status, doc = registry.create_package(manifest)
             self._send_json(status, doc)
 
         def _put_chunk(self, package_id: str, name: str):
-            # read the body first: _read_body answers a refused length itself
+            # the body first: a refused length is answered before a bad offset
             body = self._read_body()
-            if body is None:
-                return
             offset_header = self.headers.get(OFFSET_HEADER)
             if offset_header is None:
-                return self._send_json(400, {"error": f"missing {OFFSET_HEADER} header"})
-            try:
-                offset = int(offset_header)
-            except ValueError:
-                return self._send_json(400, {"error": f"{OFFSET_HEADER} must be an integer"})
-            try:
-                new_offset = registry.append_chunk(package_id, name, offset, body)
-            except NotFound as e:
-                return self._send_json(404, {"error": str(e)})
-            except Conflict as e:
-                return self._send_json(409, {"error": str(e)})
-            except OffsetError as e:
-                return self._send_json(
-                    416,
-                    {"error": str(e), "expected_offset": e.expected},
-                    {OFFSET_HEADER: e.expected},
-                )
+                raise RequestError(400, f"missing {OFFSET_HEADER} header")
+            offset = _parse_int(offset_header, OFFSET_HEADER)
+            new_offset = registry.append_chunk(package_id, name, offset, body)
             self._send_empty(204, {OFFSET_HEADER: new_offset})
 
+        def _head_blob(self, package_id: str, name: str):
+            self._send_empty(200, {OFFSET_HEADER: registry.blob_offset(package_id, name)})
+
+        def _get_blob(self, package_id: str, name: str):
+            self._send_body(200, registry.read_blob(package_id, name), "application/octet-stream")
+
+        def _list_packages(self):
+            self._send_json(200, registry.committed_since(self._query_int("since_seq")))
+
         def _commit(self, package_id: str):
-            body = self._read_body()
-            if body is None:
-                return
-            try:
-                event, newly = registry.commit(package_id)
-            except NotFound as e:
-                return self._send_json(404, {"error": str(e)})
-            except Conflict as e:
-                return self._send_json(409, {"error": str(e), "blobs": e.blobs})
-            except DigestMismatch as e:
-                return self._send_json(422, {"error": str(e), "blob": e.blob})
+            self._read_body()
+            event, newly = registry.commit(package_id)
             if newly:
                 hub.publish(event)
             self._send_json(200, event.to_doc())
 
         def _stream(self):
-            try:
-                from_seq = int(self._query().get("from_seq", "0"))
-            except ValueError:
-                return self._send_json(400, {"error": "from_seq must be an integer"})
+            from_seq = self._query_int("from_seq")
             sub = hub.register()
             replay = registry.snapshot_events()  # after registering: no gap
             self.send_response(200)
@@ -605,6 +569,18 @@ def _make_handler(registry: Registry, hub: EventHub, stopping: threading.Event, 
             self.wfile.write(b"data: " + dumps_canonical(event.to_doc()) + b"\n\n")
             self.wfile.flush()
 
+        # method -> (path pattern, endpoint) in match order
+        _ROUTES = {
+            "GET": (
+                (_ROUTE_STREAM, _stream),
+                (_ROUTE_PACKAGES, _list_packages),
+                (_ROUTE_BLOB, _get_blob),
+            ),
+            "POST": ((_ROUTE_PACKAGES, _create_package), (_ROUTE_COMMIT, _commit)),
+            "PUT": ((_ROUTE_BLOB, _put_chunk),),
+            "HEAD": ((_ROUTE_BLOB, _head_blob),),
+        }
+
     return SyncHandler
 
 
@@ -618,6 +594,8 @@ class SyncServer:
         port: int = 0,
         max_body_mb: int = 64,
     ):
+        if max_body_mb < 1:
+            raise ValueError(f"max_body_mb must be >= 1, got {max_body_mb}")
         self.registry = Registry(data_dir)
         self.hub = EventHub()
         self.stopping = threading.Event()

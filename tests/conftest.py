@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import traceback
+
 import pytest
 
 from roadsense.model import FrameRef, GpsFix, SensorSample
@@ -32,6 +34,14 @@ def make_frames(n: int, fps: int = 10):
 
 @pytest.fixture
 def server(tmp_path):
-    srv = SyncServer(tmp_path / "syncdata").start()
+    """A started SyncServer; an exception escaping one of its request
+    handlers fails the test that caused it."""
+    srv = SyncServer(tmp_path / "syncdata")
+    handler_errors = []
+    srv._httpd.handle_error = lambda request, client_address: handler_errors.append(
+        traceback.format_exc()
+    )
+    srv.start()
     yield srv
     srv.stop()
+    assert not handler_errors, "".join(handler_errors)

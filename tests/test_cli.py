@@ -126,6 +126,12 @@ def test_argument_errors_exit_2(tmp_path, capsys):
     assert main(["serve", "--listen", "nope", "--data-dir", str(tmp_path)]) == 2
     assert main(["serve", "--listen", "127.0.0.1:70000", "--data-dir", str(tmp_path)]) == 2
     assert "0-65535" in capsys.readouterr().err
+    for max_body_mb in ("0", "-1"):  # a server that would refuse every body
+        assert main([
+            "serve", "--listen", "127.0.0.1:0", "--data-dir", str(tmp_path),
+            "--max-body-mb", max_body_mb,
+        ]) == 2
+        assert "max_body_mb must be >= 1" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["query", "--package", str(pkg), "--stream", "bogus", "--at", "0"])
     assert exc.value.code == 2
@@ -187,6 +193,61 @@ def test_unreachable_endpoint_exits_4(sim_lib, capsys):
 
 
 # -- against a live service ---------------------------------------------------------
+
+
+def flip_a_sensor_bit(pkg_dir):
+    blob = pkg_dir / "sensors.jsonl"
+    raw = bytearray(blob.read_bytes())
+    raw[len(raw) // 2] ^= 0x01
+    blob.write_bytes(bytes(raw))
+
+
+def test_upload_refuses_a_corrupt_package_before_any_request(server, tmp_path, capsys):
+    lib = tmp_path / "lib"
+    assert main(["simulate", "--seed", "34", "--out", str(lib)]) == 0
+    pkg_dir = lib / default_scenario(34).package_id
+    flip_a_sensor_bit(pkg_dir)
+    chaos = tmp_path / "chaos.json"
+    chaos.write_text(json.dumps({"disconnect_count": 1}))
+    capsys.readouterr()
+    upload = [
+        "upload", "--package", str(pkg_dir), "--endpoint", server.base_url,
+        "--max-retries", "0",
+    ]
+    for extra in ([], ["--chaos", str(chaos)]):
+        assert main(upload + extra) == 1
+        out = capsys.readouterr().out
+        assert "blob sensors.jsonl: sha256 mismatch" in out
+    assert server.registry.packages == {}  # nothing was registered
+
+
+def test_upload_library_names_corrupt_packages(server, tmp_path, capsys):
+    lib = tmp_path / "lib"
+    for seed in (35, 36):
+        assert main(["simulate", "--seed", str(seed), "--out", str(lib)]) == 0
+    corrupt_id, good_id = (default_scenario(seed).package_id for seed in (35, 36))
+    flip_a_sensor_bit(lib / corrupt_id)
+    capsys.readouterr()
+
+    # the good package uploads; the corrupt one is named and skipped
+    assert main(["upload", "--library", str(lib), "--endpoint", server.base_url]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"{good_id}: complete" in lines
+    assert any(
+        line.startswith(f"{corrupt_id}: CORRUPT (") and "sha256 mismatch" in line
+        for line in lines
+    )
+    assert list(server.registry.packages) == [good_id]
+
+    # an upload that does not complete outranks a skipped package
+    (lib / good_id / "upload_state.json").unlink()
+    rc = main([
+        "upload", "--library", str(lib), "--endpoint", "http://127.0.0.1:9",
+        "--max-retries", "0",
+    ])
+    assert rc == 4
+    out = capsys.readouterr().out
+    assert f"{corrupt_id}: CORRUPT (" in out and f"{good_id}: failed" in out
 
 
 def test_upload_pull_round_trip(server, tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Sync service: registry semantics, wire protocol, durability, event stream."""
 
 import builtins
+import dataclasses
 import hashlib
 import http.client
 import json
+import re
 import socket
 import statistics
 import threading
@@ -701,3 +703,616 @@ def push_all_from(client, manifest, payloads, offsets):
         off = offsets.get(name, 0)
         while off < len(data):
             off = client.put_chunk(manifest.package_id, name, off, data[off : off + 64])
+
+
+# -- wire replies, pinned -------------------------------------------------------------
+
+WIRE_A = "0a0a0a0a-0000-4000-8000-00000000000a"
+WIRE_Z = "0a0a0a0a-0000-4000-8000-0000000000ff"
+WIRE_BAD = "0a0a0a0a-0000-4000-8000-00000000000c"
+WIRE_GHOST = "0a0a0a0a-0000-4000-8000-000000000000"
+WIRE_SENSORS = b'{"t":0,"az":9.81}\n' * 2
+WIRE_FRAME = b"\xff\xd8jpeg\x00"
+_WIRE_A_MANIFEST = PackageManifest(
+    package_id=WIRE_A, device_id="pixel-6", started_at_ms=0, ended_at_ms=60_000,
+    blobs=(
+        BlobEntry("sensors.jsonl", len(WIRE_SENSORS), hashlib.sha256(WIRE_SENSORS).hexdigest()),
+        BlobEntry("frames/0.jpg", len(WIRE_FRAME), hashlib.sha256(WIRE_FRAME).hexdigest()),
+    ),
+)
+_WIRE_BAD_MANIFEST = PackageManifest(  # declares the digest of other bytes
+    package_id=WIRE_BAD, device_id="pixel-6", started_at_ms=0, ended_at_ms=0,
+    blobs=(BlobEntry("gps.jsonl", 4, hashlib.sha256(b"good").hexdigest()),),
+)
+_PROBE = b"GET /v1/nope HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+
+
+def raw_request(method: str, path: str, body: bytes | None = None, **headers) -> bytes:
+    """A raw HTTP/1.1 request; a body gets its Content-Length unless one is
+    given (``Content_Length=...``; underscores become hyphens)."""
+    fields = {"Host": "t"}
+    if body is not None:
+        fields["Content-Length"] = str(len(body))
+    fields.update({k.replace("_", "-"): v for k, v in headers.items()})
+    head = f"{method} {path} HTTP/1.1\r\n" + "".join(f"{k}: {v}\r\n" for k, v in fields.items())
+    return head.encode() + b"\r\n" + (body or b"")
+
+
+def blob_path(pid: str, name: str) -> str:
+    return f"/v1/packages/{pid}/blobs/{name}"
+
+
+def put(pid: str, name: str, offset, data: bytes, **headers) -> bytes:
+    return raw_request("PUT", blob_path(pid, name), data, Upload_Offset=offset, **headers)
+
+
+def post_manifest(manifest: PackageManifest | bytes) -> bytes:
+    body = manifest if isinstance(manifest, bytes) else serialize_manifest(manifest)
+    return raw_request("POST", "/v1/packages", body)
+
+
+def commit_request(pid: str) -> bytes:
+    return raw_request("POST", f"/v1/packages/{pid}/commit", b"")
+
+
+_A = WIRE_A
+_S = "sensors.jsonl"
+_HUGE = str(10**12)
+_VALID_DOC = json.loads(serialize_manifest(_WIRE_A_MANIFEST))
+
+# (label, raw request, number of SSE events to read, or None for a plain reply)
+WIRE_STEPS = [
+    ("create", post_manifest(_WIRE_A_MANIFEST), None),
+    ("create again", post_manifest(_WIRE_A_MANIFEST), None),
+    ("create conflicting", post_manifest(
+        dataclasses.replace(_WIRE_A_MANIFEST, device_id="other")), None),
+    ("create not json", post_manifest(b"not json"), None),
+    ("create not an object", post_manifest(b"[1]"), None),
+    ("create foreign version", post_manifest(b'{"schema_version": 99}'), None),
+    ("create bad package_id", post_manifest(
+        dumps_canonical({**_VALID_DOC, "package_id": "nope"})), None),
+    ("create missing field", post_manifest(
+        dumps_canonical({k: v for k, v in _VALID_DOC.items() if k != "device_id"})), None),
+    ("create without length", raw_request("POST", "/v1/packages"), None),
+    ("create length abc", raw_request("POST", "/v1/packages", Content_Length="abc"), None),
+    ("create length -1", raw_request("POST", "/v1/packages", Content_Length="-1"), None),
+    ("create length huge", raw_request("POST", "/v1/packages", Content_Length=_HUGE), None),
+    ("get empty blob", raw_request("GET", blob_path(_A, _S)), None),
+    ("head at 0", raw_request("HEAD", blob_path(_A, _S)), None),
+    ("put first chunk", put(_A, _S, 0, WIRE_SENSORS[:20]), None),
+    ("put replayed chunk", put(_A, _S, 0, WIRE_SENSORS[:20]), None),
+    ("put gap", put(_A, _S, 30, WIRE_SENSORS[30:]), None),
+    ("put partial overlap", put(_A, _S, 10, WIRE_SENSORS[10:30]), None),
+    ("put past declared size", put(_A, _S, 20, WIRE_SENSORS[20:] + b"extra"), None),
+    ("put without offset", raw_request("PUT", blob_path(_A, _S), b"ab"), None),
+    ("put offset zz", put(_A, _S, "zz", b"ab"), None),
+    ("put without length", raw_request("PUT", blob_path(_A, _S), Upload_Offset=0), None),
+    ("put length -1", raw_request(
+        "PUT", blob_path(_A, _S), Upload_Offset=0, Content_Length="-1"), None),
+    ("put length huge", raw_request(
+        "PUT", blob_path(_A, _S), Upload_Offset=0, Content_Length=_HUGE), None),
+    ("put unknown blob", put(_A, "nope.bin", 0, b"x"), None),
+    ("put unknown package", put(WIRE_GHOST, _S, 0, b"x"), None),
+    ("put unknown package without offset",
+     raw_request("PUT", blob_path(WIRE_GHOST, _S), b"x"), None),
+    ("head at 20", raw_request("HEAD", blob_path(_A, _S)), None),
+    ("head unknown blob", raw_request("HEAD", blob_path(_A, "nope.bin")), None),
+    ("head unknown package", raw_request("HEAD", blob_path(WIRE_GHOST, _S)), None),
+    ("head unknown endpoint", raw_request("HEAD", "/v1/nope"), None),
+    ("head listing", raw_request("HEAD", "/v1/packages"), None),
+    ("get partial blob", raw_request("GET", blob_path(_A, _S)), None),
+    ("get unknown blob", raw_request("GET", blob_path(_A, "nope.bin")), None),
+    ("get unknown package", raw_request("GET", blob_path(WIRE_GHOST, _S)), None),
+    ("commit incomplete", commit_request(_A), None),
+    ("commit without length", raw_request("POST", f"/v1/packages/{_A}/commit"), None),
+    ("commit unknown package", commit_request(WIRE_GHOST), None),
+    ("put last chunk", put(_A, _S, 20, WIRE_SENSORS[20:]), None),
+    ("put quoted name", put(_A, "frames%2F0.jpg", 0, WIRE_FRAME), None),
+    ("commit", commit_request(_A), None),
+    ("commit again", commit_request(_A), None),
+    ("create after commit", post_manifest(_WIRE_A_MANIFEST), None),
+    ("put after commit", put(_A, _S, 0, b"x"), None),
+    ("get nested blob", raw_request("GET", blob_path(_A, "frames/0.jpg")), None),
+    ("create empty", post_manifest(dataclasses.replace(
+        _WIRE_A_MANIFEST, package_id=WIRE_Z, blobs=())), None),
+    ("commit empty", commit_request(WIRE_Z), None),
+    ("create bad digest", post_manifest(_WIRE_BAD_MANIFEST), None),
+    ("put bad digest", put(WIRE_BAD, "gps.jsonl", 0, b"evil"), None),
+    ("commit bad digest", commit_request(WIRE_BAD), None),
+    ("list", raw_request("GET", "/v1/packages"), None),
+    ("list since 0", raw_request("GET", "/v1/packages?since_seq=0"), None),
+    ("list since -3", raw_request("GET", "/v1/packages?since_seq=-3"), None),
+    ("list since 1", raw_request("GET", "/v1/packages?since_seq=1"), None),
+    ("list since 2", raw_request("GET", "/v1/packages?since_seq=2"), None),
+    ("list since 99", raw_request("GET", "/v1/packages?since_seq=99"), None),
+    ("list since abc", raw_request("GET", "/v1/packages?since_seq=abc"), None),
+    ("stream from abc", raw_request("GET", "/v1/stream?from_seq=abc"), None),
+    ("stream from 0", raw_request("GET", "/v1/stream?from_seq=0"), 2),
+    ("stream from 1", raw_request("GET", "/v1/stream?from_seq=1"), 1),
+    ("get unknown endpoint", raw_request("GET", "/v1/nope"), None),
+    ("post unknown endpoint", raw_request("POST", "/v1/nope", b""), None),
+    ("put unknown endpoint", raw_request("PUT", "/v1/nope", b""), None),
+    ("get commit", raw_request("GET", f"/v1/packages/{_A}/commit"), None),
+]
+
+
+# each step's reply as raw_exchange returns it, recorded from the service;
+# a change here is a change to the wire protocol
+WIRE_REPLIES = {
+    "create": (
+        "HTTP/1.1 201 Created",
+        ("Content-Type: application/json", "Content-Length: 133"),
+        b'{"blobs":{"frames/0.jpg":0,"sensors.jsonl":0},"commit_seq":null,"package_id":'
+        b'"0a0a0a0a-0000-4000-8000-00000000000a","status":"open"}\n',
+        False,
+    ),
+    "create again": (
+        "HTTP/1.1 200 OK",
+        ("Content-Type: application/json", "Content-Length: 133"),
+        b'{"blobs":{"frames/0.jpg":0,"sensors.jsonl":0},"commit_seq":null,"package_id":'
+        b'"0a0a0a0a-0000-4000-8000-00000000000a","status":"open"}\n',
+        False,
+    ),
+    "create conflicting": (
+        "HTTP/1.1 409 Conflict",
+        ("Content-Type: application/json", "Content-Length: 53"),
+        b'{"error":"manifest differs from the registered one"}\n',
+        False,
+    ),
+    "create not json": (
+        "HTTP/1.1 400 Bad Request",
+        ("Content-Type: application/json", "Content-Length: 64"),
+        b'{"error":"malformed manifest JSON: Expecting value","offset":0}\n',
+        False,
+    ),
+    "create not an object": (
+        "HTTP/1.1 400 Bad Request",
+        ("Content-Type: application/json", "Content-Length: 55"),
+        b'{"error":"manifest JSON must be an object","offset":0}\n',
+        False,
+    ),
+    "create foreign version": (
+        "HTTP/1.1 400 Bad Request",
+        ("Content-Type: application/json", "Content-Length: 69"),
+        b'{"error":"unsupported schema_version 99 (expected 1)","offset":null}\n',
+        False,
+    ),
+    "create bad package_id": (
+        "HTTP/1.1 400 Bad Request",
+        ("Content-Type: application/json", "Content-Length: 78"),
+        b'{"error":"package_id must be a UUID string, got \'nope\'","field":"package_id'
+        b'"}\n',
+        False,
+    ),
+    "create missing field": (
+        "HTTP/1.1 400 Bad Request",
+        ("Content-Type: application/json", "Content-Length: 67"),
+        b'{"error":"manifest missing field \'device_id\'","field":"device_id"}\n',
+        False,
+    ),
+    "create without length": (
+        "HTTP/1.1 411 Length Required",
+        ("Content-Type: application/json", "Content-Length: 28"),
+        b'{"error":"length_required"}\n',
+        False,
+    ),
+    "create length abc": (
+        "HTTP/1.1 400 Bad Request",
+        ("Content-Type: application/json", "Content-Length: 57"),
+        b'{"error":"Content-Length must be a nonnegative integer"}\n',
+        True,
+    ),
+    "create length -1": (
+        "HTTP/1.1 400 Bad Request",
+        ("Content-Type: application/json", "Content-Length: 57"),
+        b'{"error":"Content-Length must be a nonnegative integer"}\n',
+        True,
+    ),
+    "create length huge": (
+        "HTTP/1.1 413 Request Entity Too Large",
+        ("Content-Type: application/json", "Content-Length: 48"),
+        b'{"error":"body_too_large","max_bytes":67108864}\n',
+        True,
+    ),
+    "get empty blob": (
+        "HTTP/1.1 200 OK",
+        ("Content-Type: application/octet-stream", "Content-Length: 0"),
+        b'',
+        False,
+    ),
+    "head at 0": (
+        "HTTP/1.1 200 OK",
+        ("Upload-Offset: 0", "Content-Length: 0"),
+        b'',
+        False,
+    ),
+    "put first chunk": (
+        "HTTP/1.1 204 No Content",
+        ("Upload-Offset: 20", "Content-Length: 0"),
+        b'',
+        False,
+    ),
+    "put replayed chunk": (
+        "HTTP/1.1 204 No Content",
+        ("Upload-Offset: 20", "Content-Length: 0"),
+        b'',
+        False,
+    ),
+    "put gap": (
+        "HTTP/1.1 416 Requested Range Not Satisfiable",
+        ("Content-Type: application/json", "Content-Length: 52", "Upload-Offset: 20"),
+        b'{"error":"expected offset 20","expected_offset":20}\n',
+        False,
+    ),
+    "put partial overlap": (
+        "HTTP/1.1 416 Requested Range Not Satisfiable",
+        ("Content-Type: application/json", "Content-Length: 52", "Upload-Offset: 20"),
+        b'{"error":"expected offset 20","expected_offset":20}\n',
+        False,
+    ),
+    "put past declared size": (
+        "HTTP/1.1 416 Requested Range Not Satisfiable",
+        ("Content-Type: application/json", "Content-Length: 64", "Upload-Offset: 20"),
+        b'{"error":"chunk exceeds declared size 36","expected_offset":20}\n',
+        False,
+    ),
+    "put without offset": (
+        "HTTP/1.1 400 Bad Request",
+        ("Content-Type: application/json", "Content-Length: 41"),
+        b'{"error":"missing Upload-Offset header"}\n',
+        False,
+    ),
+    "put offset zz": (
+        "HTTP/1.1 400 Bad Request",
+        ("Content-Type: application/json", "Content-Length: 45"),
+        b'{"error":"Upload-Offset must be an integer"}\n',
+        False,
+    ),
+    "put without length": (
+        "HTTP/1.1 411 Length Required",
+        ("Content-Type: application/json", "Content-Length: 28"),
+        b'{"error":"length_required"}\n',
+        False,
+    ),
+    "put length -1": (
+        "HTTP/1.1 400 Bad Request",
+        ("Content-Type: application/json", "Content-Length: 57"),
+        b'{"error":"Content-Length must be a nonnegative integer"}\n',
+        True,
+    ),
+    "put length huge": (
+        "HTTP/1.1 413 Request Entity Too Large",
+        ("Content-Type: application/json", "Content-Length: 48"),
+        b'{"error":"body_too_large","max_bytes":67108864}\n',
+        True,
+    ),
+    "put unknown blob": (
+        "HTTP/1.1 404 Not Found",
+        ("Content-Type: application/json", "Content-Length: 36"),
+        b'{"error":"unknown blob \'nope.bin\'"}\n',
+        False,
+    ),
+    "put unknown package": (
+        "HTTP/1.1 404 Not Found",
+        ("Content-Type: application/json", "Content-Length: 65"),
+        b'{"error":"unknown package 0a0a0a0a-0000-4000-8000-000000000000"}\n',
+        False,
+    ),
+    "put unknown package without offset": (
+        "HTTP/1.1 400 Bad Request",
+        ("Content-Type: application/json", "Content-Length: 41"),
+        b'{"error":"missing Upload-Offset header"}\n',
+        False,
+    ),
+    "head at 20": (
+        "HTTP/1.1 200 OK",
+        ("Upload-Offset: 20", "Content-Length: 0"),
+        b'',
+        False,
+    ),
+    "head unknown blob": (
+        "HTTP/1.1 404 Not Found",
+        ("Content-Length: 0",),
+        b'',
+        False,
+    ),
+    "head unknown package": (
+        "HTTP/1.1 404 Not Found",
+        ("Content-Length: 0",),
+        b'',
+        False,
+    ),
+    "head unknown endpoint": (
+        "HTTP/1.1 404 Not Found",
+        ("Content-Length: 0",),
+        b'',
+        False,
+    ),
+    "head listing": (
+        "HTTP/1.1 404 Not Found",
+        ("Content-Length: 0",),
+        b'',
+        False,
+    ),
+    "get partial blob": (
+        "HTTP/1.1 200 OK",
+        ("Content-Type: application/octet-stream", "Content-Length: 20"),
+        b'{"t":0,"az":9.81}\n{"',
+        False,
+    ),
+    "get unknown blob": (
+        "HTTP/1.1 404 Not Found",
+        ("Content-Type: application/json", "Content-Length: 36"),
+        b'{"error":"unknown blob \'nope.bin\'"}\n',
+        False,
+    ),
+    "get unknown package": (
+        "HTTP/1.1 404 Not Found",
+        ("Content-Type: application/json", "Content-Length: 65"),
+        b'{"error":"unknown package 0a0a0a0a-0000-4000-8000-000000000000"}\n',
+        False,
+    ),
+    "commit incomplete": (
+        "HTTP/1.1 409 Conflict",
+        ("Content-Type: application/json", "Content-Length: 99"),
+        b'{"blobs":["sensors.jsonl","frames/0.jpg"],"error":"blobs incomplete: sensors.'
+        b'jsonl, frames/0.jpg"}\n',
+        False,
+    ),
+    "commit without length": (
+        "HTTP/1.1 411 Length Required",
+        ("Content-Type: application/json", "Content-Length: 28"),
+        b'{"error":"length_required"}\n',
+        False,
+    ),
+    "commit unknown package": (
+        "HTTP/1.1 404 Not Found",
+        ("Content-Type: application/json", "Content-Length: 65"),
+        b'{"error":"unknown package 0a0a0a0a-0000-4000-8000-000000000000"}\n',
+        False,
+    ),
+    "put last chunk": (
+        "HTTP/1.1 204 No Content",
+        ("Upload-Offset: 36", "Content-Length: 0"),
+        b'',
+        False,
+    ),
+    "put quoted name": (
+        "HTTP/1.1 204 No Content",
+        ("Upload-Offset: 7", "Content-Length: 0"),
+        b'',
+        False,
+    ),
+    "commit": (
+        "HTTP/1.1 200 OK",
+        ("Content-Type: application/json", "Content-Length: 101"),
+        b'{"commit_seq":1,"committed_at_ms":0,"package_id":"0a0a0a0a-0000-4000-8000-000'
+        b'00000000a"}\n',
+        False,
+    ),
+    "commit again": (
+        "HTTP/1.1 200 OK",
+        ("Content-Type: application/json", "Content-Length: 101"),
+        b'{"commit_seq":1,"committed_at_ms":0,"package_id":"0a0a0a0a-0000-4000-8000-000'
+        b'00000000a"}\n',
+        False,
+    ),
+    "create after commit": (
+        "HTTP/1.1 200 OK",
+        ("Content-Type: application/json", "Content-Length: 136"),
+        b'{"blobs":{"frames/0.jpg":7,"sensors.jsonl":36},"commit_seq":1,"package_id":"0'
+        b'a0a0a0a-0000-4000-8000-00000000000a","status":"committed"}\n',
+        False,
+    ),
+    "put after commit": (
+        "HTTP/1.1 409 Conflict",
+        ("Content-Type: application/json", "Content-Length: 38"),
+        b'{"error":"package already committed"}\n',
+        False,
+    ),
+    "get nested blob": (
+        "HTTP/1.1 200 OK",
+        ("Content-Type: application/octet-stream", "Content-Length: 7"),
+        b'\xff\xd8jpeg\x00',
+        False,
+    ),
+    "create empty": (
+        "HTTP/1.1 201 Created",
+        ("Content-Type: application/json", "Content-Length: 99"),
+        b'{"blobs":{},"commit_seq":null,"package_id":"0a0a0a0a-0000-4000-8000-000000000'
+        b'0ff","status":"open"}\n',
+        False,
+    ),
+    "commit empty": (
+        "HTTP/1.1 200 OK",
+        ("Content-Type: application/json", "Content-Length: 101"),
+        b'{"commit_seq":2,"committed_at_ms":0,"package_id":"0a0a0a0a-0000-4000-8000-000'
+        b'0000000ff"}\n',
+        False,
+    ),
+    "create bad digest": (
+        "HTTP/1.1 201 Created",
+        ("Content-Type: application/json", "Content-Length: 112"),
+        b'{"blobs":{"gps.jsonl":0},"commit_seq":null,"package_id":"0a0a0a0a-0000-4000-8'
+        b'000-00000000000c","status":"open"}\n',
+        False,
+    ),
+    "put bad digest": (
+        "HTTP/1.1 204 No Content",
+        ("Upload-Offset: 4", "Content-Length: 0"),
+        b'',
+        False,
+    ),
+    "commit bad digest": (
+        "HTTP/1.1 422 Unprocessable Entity",
+        ("Content-Type: application/json", "Content-Length: 68"),
+        b'{"blob":"gps.jsonl","error":"sha256 mismatch for blob \'gps.jsonl\'"}\n',
+        False,
+    ),
+    "list": (
+        "HTTP/1.1 200 OK",
+        ("Content-Type: application/json", "Content-Length: 711"),
+        b'[{"commit_seq":1,"committed_at_ms":0,"manifest":{"blobs":[{"bytes":36,"name":'
+        b'"sensors.jsonl","sha256":"9c5e7a5c5fb8233eb77c4b5c7515450400e729c7338abca7578'
+        b'f9552f0ad9863"},{"bytes":7,"name":"frames/0.jpg","sha256":"6b824072dbeba8f6bf'
+        b'87ca431e03cac747341a028b8718d598d7a5b814f2a95e"}],"device_id":"pixel-6","ende'
+        b'd_at_ms":60000,"frame_rate_fps":10,"package_id":"0a0a0a0a-0000-4000-8000-0000'
+        b'0000000a","schema_version":1,"sensor_rate_hz":30,"started_at_ms":0}},{"commit'
+        b'_seq":2,"committed_at_ms":0,"manifest":{"blobs":[],"device_id":"pixel-6","end'
+        b'ed_at_ms":60000,"frame_rate_fps":10,"package_id":"0a0a0a0a-0000-4000-8000-000'
+        b'0000000ff","schema_version":1,"sensor_rate_hz":30,"started_at_ms":0}}]\n',
+        False,
+    ),
+    "list since 0": (
+        "HTTP/1.1 200 OK",
+        ("Content-Type: application/json", "Content-Length: 711"),
+        b'[{"commit_seq":1,"committed_at_ms":0,"manifest":{"blobs":[{"bytes":36,"name":'
+        b'"sensors.jsonl","sha256":"9c5e7a5c5fb8233eb77c4b5c7515450400e729c7338abca7578'
+        b'f9552f0ad9863"},{"bytes":7,"name":"frames/0.jpg","sha256":"6b824072dbeba8f6bf'
+        b'87ca431e03cac747341a028b8718d598d7a5b814f2a95e"}],"device_id":"pixel-6","ende'
+        b'd_at_ms":60000,"frame_rate_fps":10,"package_id":"0a0a0a0a-0000-4000-8000-0000'
+        b'0000000a","schema_version":1,"sensor_rate_hz":30,"started_at_ms":0}},{"commit'
+        b'_seq":2,"committed_at_ms":0,"manifest":{"blobs":[],"device_id":"pixel-6","end'
+        b'ed_at_ms":60000,"frame_rate_fps":10,"package_id":"0a0a0a0a-0000-4000-8000-000'
+        b'0000000ff","schema_version":1,"sensor_rate_hz":30,"started_at_ms":0}}]\n',
+        False,
+    ),
+    "list since -3": (
+        "HTTP/1.1 200 OK",
+        ("Content-Type: application/json", "Content-Length: 711"),
+        b'[{"commit_seq":1,"committed_at_ms":0,"manifest":{"blobs":[{"bytes":36,"name":'
+        b'"sensors.jsonl","sha256":"9c5e7a5c5fb8233eb77c4b5c7515450400e729c7338abca7578'
+        b'f9552f0ad9863"},{"bytes":7,"name":"frames/0.jpg","sha256":"6b824072dbeba8f6bf'
+        b'87ca431e03cac747341a028b8718d598d7a5b814f2a95e"}],"device_id":"pixel-6","ende'
+        b'd_at_ms":60000,"frame_rate_fps":10,"package_id":"0a0a0a0a-0000-4000-8000-0000'
+        b'0000000a","schema_version":1,"sensor_rate_hz":30,"started_at_ms":0}},{"commit'
+        b'_seq":2,"committed_at_ms":0,"manifest":{"blobs":[],"device_id":"pixel-6","end'
+        b'ed_at_ms":60000,"frame_rate_fps":10,"package_id":"0a0a0a0a-0000-4000-8000-000'
+        b'0000000ff","schema_version":1,"sensor_rate_hz":30,"started_at_ms":0}}]\n',
+        False,
+    ),
+    "list since 1": (
+        "HTTP/1.1 200 OK",
+        ("Content-Type: application/json", "Content-Length: 246"),
+        b'[{"commit_seq":2,"committed_at_ms":0,"manifest":{"blobs":[],"device_id":"pixe'
+        b'l-6","ended_at_ms":60000,"frame_rate_fps":10,"package_id":"0a0a0a0a-0000-4000'
+        b'-8000-0000000000ff","schema_version":1,"sensor_rate_hz":30,"started_at_ms":0}'
+        b'}]\n',
+        False,
+    ),
+    "list since 2": (
+        "HTTP/1.1 200 OK",
+        ("Content-Type: application/json", "Content-Length: 3"),
+        b'[]\n',
+        False,
+    ),
+    "list since 99": (
+        "HTTP/1.1 200 OK",
+        ("Content-Type: application/json", "Content-Length: 3"),
+        b'[]\n',
+        False,
+    ),
+    "list since abc": (
+        "HTTP/1.1 400 Bad Request",
+        ("Content-Type: application/json", "Content-Length: 41"),
+        b'{"error":"since_seq must be an integer"}\n',
+        False,
+    ),
+    "stream from abc": (
+        "HTTP/1.1 400 Bad Request",
+        ("Content-Type: application/json", "Content-Length: 40"),
+        b'{"error":"from_seq must be an integer"}\n',
+        False,
+    ),
+    "stream from 0": (
+        "HTTP/1.1 200 OK",
+        ("Content-Type: text/event-stream", "Cache-Control: no-cache", "Connection: close"),
+        b'data: {"commit_seq":1,"committed_at_ms":0,"package_id":"0a0a0a0a-0000-4000-80'
+        b'00-00000000000a"}\n\ndata: {"commit_seq":2,"committed_at_ms":0,"package_id":"'
+        b'0a0a0a0a-0000-4000-8000-0000000000ff"}\n\n',
+        None,
+    ),
+    "stream from 1": (
+        "HTTP/1.1 200 OK",
+        ("Content-Type: text/event-stream", "Cache-Control: no-cache", "Connection: close"),
+        b'data: {"commit_seq":2,"committed_at_ms":0,"package_id":"0a0a0a0a-0000-4000-80'
+        b'00-0000000000ff"}\n\n',
+        None,
+    ),
+    "get unknown endpoint": (
+        "HTTP/1.1 404 Not Found",
+        ("Content-Type: application/json", "Content-Length: 29"),
+        b'{"error":"no_such_endpoint"}\n',
+        False,
+    ),
+    "post unknown endpoint": (
+        "HTTP/1.1 404 Not Found",
+        ("Content-Type: application/json", "Content-Length: 29"),
+        b'{"error":"no_such_endpoint"}\n',
+        False,
+    ),
+    "put unknown endpoint": (
+        "HTTP/1.1 404 Not Found",
+        ("Content-Type: application/json", "Content-Length: 29"),
+        b'{"error":"no_such_endpoint"}\n',
+        False,
+    ),
+    "get commit": (
+        "HTTP/1.1 404 Not Found",
+        ("Content-Type: application/json", "Content-Length: 29"),
+        b'{"error":"no_such_endpoint"}\n',
+        False,
+    ),
+}
+
+
+def raw_exchange(server, request: bytes, events: int | None = None):
+    """Send one raw request and return its reply as (status line, headers
+    other than Date and Server, body with ``committed_at_ms`` zeroed,
+    whether the server then closed the connection).
+
+    The connection's fate is read from a probe request sent after the
+    reply. A stream reply is read up to its ``events``-th event and not
+    probed: its own ``Connection: close`` header settles that.
+    """
+    with socket.create_connection((server.host, server.port), timeout=5) as s:
+        s.sendall(request)
+        reply = b""
+        while b"\r\n\r\n" not in reply:
+            chunk = s.recv(4096)
+            assert chunk, f"connection closed before a reply: {reply!r}"
+            reply += chunk
+        head, body = reply.split(b"\r\n\r\n", 1)
+        status, *lines = head.decode("latin-1").split("\r\n")
+        headers = tuple(h for h in lines if h.split(":", 1)[0] not in ("Date", "Server"))
+        lengths = [int(h.split(":", 1)[1]) for h in lines if h.startswith("Content-Length:")]
+        length = 0 if request.startswith(b"HEAD ") or not lengths else lengths[0]
+        while (len(body) < length) if events is None else (body.count(b"\n\n") < events):
+            chunk = s.recv(4096)
+            assert chunk, f"connection closed inside the body: {body!r}"
+            body += chunk
+        closed = None
+        if events is None:
+            try:
+                s.sendall(_PROBE)
+                probe = s.recv(4096)
+                closed = not probe
+                while probe:  # the probe asks the server to close; read to the end
+                    probe = s.recv(4096)
+            except (BrokenPipeError, ConnectionResetError):
+                closed = True
+    return status, headers, re.sub(rb'"committed_at_ms":\d+', b'"committed_at_ms":0', body), closed
+
+
+def test_wire_replies_are_pinned(server):
+    got = {
+        label: raw_exchange(server, request, events)
+        for label, request, events in WIRE_STEPS
+    }
+    assert list(WIRE_REPLIES) == [label for label, _, _ in WIRE_STEPS]
+    mismatched = {
+        label: {"got": got[label], "expected": WIRE_REPLIES[label]}
+        for label in got
+        if got[label] != WIRE_REPLIES[label]
+    }
+    assert not mismatched
