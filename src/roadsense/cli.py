@@ -149,9 +149,13 @@ def cmd_upload(args) -> int:
         backoff_base_s=cfg.backoff_base_s,
         backoff_cap_s=cfg.backoff_cap_s,
     )
-    for pid, state in sorted(results.items()):
-        print(f"{pid}: {state.status.value}")
-    if any(state.status is not UploadStatus.COMPLETE for state in results.values()):
+    # a package whose sidecar already says FAILED is not retried: name it
+    failed = [e for e in library if e.ok and e.state and e.state.status is UploadStatus.FAILED]
+    lines = {pid: state.status.value for pid, state in results.items()}
+    lines.update({e.package_id: f"failed (not retried: {e.state.last_error})" for e in failed})
+    for pid, text in sorted(lines.items()):
+        print(f"{pid}: {text}")
+    if failed or any(state.status is not UploadStatus.COMPLETE for state in results.values()):
         return EXIT_NETWORK
     return EXIT_VALIDATION if corrupt else EXIT_OK
 

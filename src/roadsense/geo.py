@@ -4,6 +4,20 @@ Distances use a spherical Earth (R = 6,371 km); snapping works in a local
 equirectangular plane per polyline segment, which is plenty at corridor
 scale where errors are far below GPS noise. Chainage is the cumulative
 great-circle distance along the reference polyline.
+
+Snapping looks at few segments per point, and its answers are those of
+comparing every point with every segment. Each segment's bounding box goes
+into a uniform grid in one global equirectangular frame, taken at the
+route's mean latitude, with cells a few median segment lengths wide; a
+point's candidates are the segments in its 3 x 3 cell neighbourhood. A
+segment's own frame is the global one with x scaled by cos(its latitude) /
+cos(the mean latitude), so every segment outside the neighbourhood, at
+least one cell away in the global frame, is at least that scale (capped
+at 1, minimum over the route) times one cell away in its own frame. A
+point whose nearest candidate is closer than that bound, less a margin
+for rounding, is settled; every other point is compared with all
+segments. Both go through the same per-pair arithmetic, and ties go to
+the lowest segment index either way, so the grid changes no result.
 """
 
 from __future__ import annotations
@@ -21,7 +35,9 @@ import numpy as np
 from .errors import ValidationError
 
 EARTH_RADIUS_M = 6_371_000.0
-_SNAP_BLOCK_ELEMS = 1 << 20  # values per fixes x segments temporary in snap_many
+_SNAP_BLOCK_ELEMS = 1 << 20  # (point, segment) pairs per snap_many kernel call
+_SNAP_CELL_SEGMENTS = 4.0  # grid cell side in median segment lengths
+_SNAP_CELLS_PER_SEGMENT = 8  # average grid cells a segment's box may cover
 
 
 def haversine(p1: tuple[float, float], p2: tuple[float, float]) -> float:
@@ -118,51 +134,186 @@ class Polyline:
         *points* is a sequence of pairs or an (n, 2) array. Returns the
         columns ``(chainage_m, cross_track_m, segment_index)``: two float64
         arrays and one int64 array with one entry per point (all empty for
-        no points). A point equidistant from several segments goes to the
-        lowest segment index. Points are processed in row blocks so that
-        each fixes x segments temporary stays near _SNAP_BLOCK_ELEMS
-        values; rows are independent, so the blocking changes no result.
+        no points).
+
+        A point is first compared with the segments in its 3 x 3 grid
+        neighbourhood (see the module docstring). When the nearest of them
+        is closer than the grid's bound, no other segment can be as near,
+        so the point is settled; otherwise it is compared with every
+        segment. A point equidistant from several segments goes to the
+        lowest segment index, as a first minimum over all segments would.
+        Each pass evaluates (point, segment) pairs in blocks of at most
+        about _SNAP_BLOCK_ELEMS pairs; pairs are independent, so neither
+        the grid nor the blocking changes any result.
         """
         n = len(points)
         pts = np.asarray(points, dtype=float).reshape(n, 2)
-        chainage, cross_track = np.empty(n), np.empty(n)
-        segment = np.empty(n, dtype=np.int64)
-        plat = np.radians(pts[:, 0])[:, None]
-        plon = np.radians(pts[:, 1])[:, None]
+        plat = np.radians(pts[:, 0])
+        plon = np.radians(pts[:, 1])
+        frames = _SegmentFrames(np.radians(self._lat), np.radians(self._lon))
+        nseg = frames.coslat.size
 
-        alat = np.radians(self._lat[:-1])[None, :]
-        alon = np.radians(self._lon[:-1])[None, :]
-        blat = np.radians(self._lat[1:])[None, :]
-        blon = np.radians(self._lon[1:])[None, :]
+        best = np.zeros(n, dtype=np.int64)
+        unsettled = np.ones(n, dtype=bool)
+        grid = _SegmentGrid.build(frames)
+        if grid is not None:
+            for pi, si, starts in grid.pair_blocks(plat, plon):
+                seg, low = _nearest(frames.distance(plat, plon, pi, si)[1], si, starts, nseg)
+                ok = low < grid.bound
+                rows = pi[starts][ok]
+                best[rows] = seg[ok]
+                unsettled[rows] = False
 
-        # local equirectangular frame about each segment's mean latitude
-        lat0 = (alat + blat) / 2.0
-        coslat = np.cos(lat0)
-        ax = (alon * coslat) * EARTH_RADIUS_M
-        ay = alat * EARTH_RADIUS_M
-        bx = (blon * coslat) * EARTH_RADIUS_M
-        by = blat * EARTH_RADIUS_M
-        dx, dy = bx - ax, by - ay
-        seg_sq = dx * dx + dy * dy
+        rest = np.flatnonzero(unsettled)
+        step = max(1, _SNAP_BLOCK_ELEMS // nseg)
+        for r0 in range(0, rest.size, step):
+            rows = rest[r0 : r0 + step]
+            pi = np.repeat(rows, nseg)
+            si = np.tile(np.arange(nseg), rows.size)
+            dist = frames.distance(plat, plon, pi, si)[1]
+            best[rows] = _nearest(dist, si, np.arange(0, pi.size, nseg), nseg)[0]
+
+        w, cross_track = frames.distance(plat, plon, np.arange(n), best)
         seg_span = self.chainage[1:] - self.chainage[:-1]
+        chainage = self.chainage[best] + w * seg_span[best]
+        return chainage, cross_track, best
 
-        step = max(1, _SNAP_BLOCK_ELEMS // seg_sq.size)
-        for r0 in range(0, n, step):
-            px = (plon[r0 : r0 + step] * coslat) * EARTH_RADIUS_M
-            py = plat[r0 : r0 + step] * EARTH_RADIUS_M
-            w = ((px - ax) * dx + (py - ay) * dy) / seg_sq
-            w = np.clip(w, 0.0, 1.0)
-            cx = ax + w * dx
-            cy = ay + w * dy
-            dist = np.hypot(px - cx, py - cy)
 
-            best = np.argmin(dist, axis=1)  # first minimum -> lowest segment index
-            rows = np.arange(best.size)
-            block = slice(r0, r0 + best.size)
-            chainage[block] = self.chainage[best] + w[rows, best] * seg_span[best]
-            cross_track[block] = dist[rows, best]
-            segment[block] = best
-        return chainage, cross_track, segment
+class _SegmentFrames:
+    """Each segment in its local equirectangular frame, about the mean
+    latitude of its endpoints (all angles in radians)."""
+
+    def __init__(self, lat: np.ndarray, lon: np.ndarray):
+        alat, alon, blat, blon = lat[:-1], lon[:-1], lat[1:], lon[1:]
+        lat0 = (alat + blat) / 2.0
+        self.coslat = np.cos(lat0)
+        self.ax = (alon * self.coslat) * EARTH_RADIUS_M
+        self.ay = alat * EARTH_RADIUS_M
+        bx = (blon * self.coslat) * EARTH_RADIUS_M
+        by = blat * EARTH_RADIUS_M
+        self.dx, self.dy = bx - self.ax, by - self.ay
+        self.seg_sq = self.dx * self.dx + self.dy * self.dy
+        self.lat, self.lon = lat, lon
+
+    def distance(self, plat, plon, pi, si):
+        """(w, dist) of each (point pi, segment si) pair: the position of
+        the nearest location along the segment, clamped to [0, 1], and the
+        distance to it in meters, both in the segment's own frame."""
+        coslat = self.coslat[si]
+        ax, ay, dx, dy = self.ax[si], self.ay[si], self.dx[si], self.dy[si]
+        px = (plon[pi] * coslat) * EARTH_RADIUS_M
+        py = plat[pi] * EARTH_RADIUS_M
+        w = ((px - ax) * dx + (py - ay) * dy) / self.seg_sq[si]
+        w = np.clip(w, 0.0, 1.0)
+        cx = ax + w * dx
+        cy = ay + w * dy
+        return w, np.hypot(px - cx, py - cy)
+
+
+def _nearest(dist, si, starts, nseg):
+    """Per group of pairs (one point each, groups beginning at *starts*):
+    the lowest segment index among the smallest distances, which is the
+    first minimum over the segments whatever the order of the pairs, and
+    that distance. NaN counts as smallest (reported as -1), as it does
+    for ``np.argmin``.
+    """
+    d = np.where(np.isnan(dist), -1.0, dist)
+    low = np.minimum.reduceat(d, starts)
+    sizes = np.diff(np.append(starts, d.size))
+    seg = np.minimum.reduceat(np.where(d == np.repeat(low, sizes), si, nseg), starts)
+    return seg, low
+
+
+class _SegmentGrid:
+    """Segment bounding boxes in a uniform grid over the global frame.
+
+    ``bound`` is the distance below which a point's nearest candidate is
+    its nearest segment.
+    """
+
+    _NEIGHBOURS = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+
+    def __init__(self, cos_g, cell, bound, x0, y0, nx, ny, seg, keys, start, count):
+        self.cos_g, self.cell, self.bound = cos_g, cell, bound
+        self.x0, self.y0, self.nx, self.ny = x0, y0, nx, ny
+        self.seg, self.keys, self.start, self.count = seg, keys, start, count
+
+    @classmethod
+    def build(cls, frames: _SegmentFrames) -> Optional["_SegmentGrid"]:
+        """The grid for these segments; None when the geometry is not
+        finite (every point is then compared with every segment)."""
+        cos_g = float(np.cos(frames.lat.mean()))
+        gx = (frames.lon * cos_g) * EARTH_RADIUS_M
+        gy = frames.lat * EARTH_RADIUS_M
+        # the cell side follows the route's own spacing; long segments
+        # that would cover too many cells double it
+        cell = _SNAP_CELL_SEGMENTS * float(np.median(np.hypot(np.diff(gx), np.diff(gy))))
+        if not (np.isfinite(gx).all() and np.isfinite(gy).all() and np.isfinite(cell) and cell > 0):
+            return None
+        nseg = gx.size - 1
+        lo_x, hi_x = np.minimum(gx[:-1], gx[1:]), np.maximum(gx[:-1], gx[1:])
+        lo_y, hi_y = np.minimum(gy[:-1], gy[1:]), np.maximum(gy[:-1], gy[1:])
+        while True:
+            x0, x1 = np.floor(lo_x / cell), np.floor(hi_x / cell)
+            y0, y1 = np.floor(lo_y / cell), np.floor(hi_y / cell)
+            if ((x1 - x0 + 1) * (y1 - y0 + 1)).sum() <= _SNAP_CELLS_PER_SEGMENT * nseg:
+                break
+            cell *= 2.0
+        ox, oy = x0.min(), y0.min()
+        ix0, iy0 = (x0 - ox).astype(np.int64), (y0 - oy).astype(np.int64)
+        w = (x1 - x0 + 1).astype(np.int64)
+        h = (y1 - y0 + 1).astype(np.int64)
+        nx, ny = int((x1 - ox).max()) + 1, int((y1 - oy).max()) + 1
+
+        # one registration per (segment, covered cell), in segment order
+        covers = w * h
+        seg = np.repeat(np.arange(nseg), covers)
+        k = np.arange(seg.size) - np.repeat(np.cumsum(covers) - covers, covers)
+        key = (ix0[seg] + k // h[seg]) * ny + iy0[seg] + k % h[seg]
+        order = np.argsort(key, kind="stable")
+        keys, start, count = np.unique(key[order], return_index=True, return_counts=True)
+
+        # a segment's own-frame distance is at least min(1, k_s) times its
+        # global-frame distance; the margin covers the rounding of
+        # coordinates (about 1e-8 m at Earth scale)
+        k_min = min(1.0, float(np.abs(frames.coslat / cos_g).min()))
+        bound = k_min * cell * (1.0 - 1e-6) - 1e-6
+        return cls(cos_g, cell, bound, ox, oy, nx, ny, seg[order], keys, start, count)
+
+    def pair_blocks(self, plat, plon):
+        """(pi, si, starts) blocks of (point, candidate segment) pairs for
+        every point with candidates, grouped by point, at most about
+        _SNAP_BLOCK_ELEMS pairs a block. A segment in several of a point's
+        cells appears once per cell, which changes no minimum."""
+        cx = np.floor(((plon * self.cos_g) * EARTH_RADIUS_M) / self.cell) - self.x0
+        cy = np.floor((plat * EARTH_RADIUS_M) / self.cell) - self.y0
+        # far and non-finite points land outside the grid: no candidates
+        cx = np.clip(np.where(np.isnan(cx), -2.0, cx), -2, self.nx + 1).astype(np.int64)
+        cy = np.clip(np.where(np.isnan(cy), -2.0, cy), -2, self.ny + 1).astype(np.int64)
+        starts = np.zeros((cx.size, len(self._NEIGHBOURS)), dtype=np.int64)
+        counts = np.zeros_like(starts)
+        for j, (di, dj) in enumerate(self._NEIGHBOURS):
+            ix, iy = cx + di, cy + dj
+            key = ix * self.ny + iy
+            pos = np.minimum(np.searchsorted(self.keys, key), self.keys.size - 1)
+            hit = (ix >= 0) & (ix < self.nx) & (iy >= 0) & (iy < self.ny) & (self.keys[pos] == key)
+            starts[:, j] = self.start[pos]
+            counts[:, j] = np.where(hit, self.count[pos], 0)
+
+        per_point = counts.sum(axis=1)
+        points = np.flatnonzero(per_point)
+        ends = np.cumsum(per_point[points])
+        r0 = 0
+        while r0 < points.size:
+            before = int(ends[r0 - 1]) if r0 else 0
+            r1 = max(r0 + 1, int(np.searchsorted(ends, before + _SNAP_BLOCK_ELEMS, side="right")))
+            rows = points[r0:r1]
+            run_start, run_len = starts[rows].ravel(), counts[rows].ravel()
+            pi = np.repeat(rows, per_point[rows])
+            first = np.repeat(run_start - (np.cumsum(run_len) - run_len), run_len)
+            si = self.seg[first + np.arange(pi.size)]
+            yield pi, si, np.cumsum(per_point[rows]) - per_point[rows]
+            r0 = r1
 
 
 def snap_to_polyline(p: tuple[float, float], line: Polyline) -> SnapResult:

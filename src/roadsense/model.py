@@ -202,6 +202,23 @@ def _check_relative_path(field_name: str, p) -> str:
     return p
 
 
+def _relative_paths(paths) -> bool:
+    """Whether every path passes ``_check_relative_path``, in one scan.
+
+    Joined with "/" and wrapped in it, the paths' components are exactly
+    the pieces between slashes, so an empty path, a leading or trailing
+    "/" and an empty, "." or ".." component each leave "//", "/./" or
+    "/../" in the joined text, and valid paths leave none of them.
+    """
+    if len(paths) == 0:
+        return True
+    try:
+        joined = "/" + "/".join(paths) + "/"
+    except TypeError:  # a path that is not a string
+        return False
+    return not any(bad in joined for bad in ("\\", "//", "/./", "/../"))
+
+
 @dataclass(frozen=True)
 class BlobEntry:
     """One payload file tracked by the manifest."""
@@ -454,12 +471,8 @@ def _valid_columns(cols: dict, record_cls) -> bool:
     if record_cls is GpsFix:
         if not ((np.abs(cols["lat"]) <= 90.0).all() and (np.abs(cols["lon"]) <= 180.0).all()):
             return False
-    if record_cls is FrameRef:
-        try:
-            for p in cols["file"]:
-                _check_relative_path("file", p)
-        except ValidationError:
-            return False
+    if record_cls is FrameRef and not _relative_paths(cols["file"]):
+        return False
     return True
 
 

@@ -21,6 +21,9 @@ that is terminated still refuses to boot.
 Refusals: a refused request raises ``RequestError`` (or a subclass), and
 that exception is the reply: status, ``{"error": ...}`` body and headers.
 The one dispatch sends it, so endpoint bodies hold only the success path.
+A request that declares a body no endpoint reads (a GET, a HEAD, an
+unknown route) gets its one reply and then the connection ends, so the
+body's bytes are never parsed as a next request.
 
 Latency: the handler turns Nagle's algorithm off (TCP_NODELAY).
 ``BaseHTTPRequestHandler`` sends the headers and the body of a reply in
@@ -476,7 +479,10 @@ def _make_handler(registry: Registry, hub: EventHub, stopping: threading.Event, 
                 raise RequestError(400, "Content-Length must be a nonnegative integer", close=True)
             if n > max_body_bytes:
                 raise RequestError(413, "body_too_large", close=True, max_bytes=max_body_bytes)
-            return self.rfile.read(n)
+            body = self.rfile.read(n)
+            # a chunked body is not framed by Content-Length: its rest stays unread
+            self.unread_body = "Transfer-Encoding" in self.headers
+            return body
 
         def _query_int(self, name: str) -> int:
             query = dict(urllib.parse.parse_qsl(self.query))
@@ -487,6 +493,10 @@ def _make_handler(registry: Registry, hub: EventHub, stopping: threading.Event, 
         def _dispatch(self):
             parts = urllib.parse.urlsplit(self.path)
             self.query = parts.query
+            self.unread_body = (
+                "Transfer-Encoding" in self.headers
+                or self.headers.get("Content-Length") not in (None, "0")
+            )
             try:
                 for pattern, endpoint in self._ROUTES[self.command]:
                     m = pattern.match(parts.path)
@@ -500,6 +510,11 @@ def _make_handler(registry: Registry, hub: EventHub, stopping: threading.Event, 
                     self._send_empty(e.status)
                 else:
                     self._send_json(e.status, {"error": str(e), **e.fields}, e.headers)
+            finally:
+                # a declared body that no endpoint read would be parsed as
+                # the next request: end the connection after this reply
+                if self.unread_body:
+                    self.close_connection = True
 
         do_GET = do_POST = do_PUT = do_HEAD = _dispatch
 

@@ -315,6 +315,22 @@ def test_interrupted_pull_resumes_to_a_valid_mirror(server, tmp_path, monkeypatc
     assert "exists, skipped" in capsys.readouterr().out
 
 
+def test_upload_library_names_a_package_left_failed(server, tmp_path, capsys):
+    lib = tmp_path / "lib"
+    assert main(["simulate", "--seed", "37", "--out", str(lib)]) == 0
+    pid = default_scenario(37).package_id
+    dead = ["--endpoint", "http://127.0.0.1:9", "--max-retries", "0"]
+    assert main(["upload", "--library", str(lib), *dead]) == 4
+    capsys.readouterr()
+
+    # FAILED is terminal: the live server gets nothing, and the run says why
+    assert main(["upload", "--library", str(lib), "--endpoint", server.base_url]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"{pid}: failed (not retried: ")
+    assert server.registry.packages == {}
+
+
 def test_upload_library_batch(server, tmp_path, capsys):
     lib = tmp_path / "lib"
     for seed in (41, 42):

@@ -225,6 +225,36 @@ def scalar_snap_rows(line, points):
     return [(s.chainage_m, s.cross_track_m, s.segment_index) for s in snaps]
 
 
+def dense_snap_rows(line, points, rows_per_block=64):
+    """The snap that compares every point with every segment, in the same
+    arithmetic as snap_many's per-pair kernel: each segment in its own
+    equirectangular frame, the first minimum over all segments."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    lat = np.radians([v[0] for v in line.vertices])
+    lon = np.radians([v[1] for v in line.vertices])
+    alat, alon, blat, blon = lat[None, :-1], lon[None, :-1], lat[None, 1:], lon[None, 1:]
+    coslat = np.cos((alat + blat) / 2.0)
+    ax = (alon * coslat) * EARTH_RADIUS_M
+    ay = alat * EARTH_RADIUS_M
+    dx = (blon * coslat) * EARTH_RADIUS_M - ax
+    dy = blat * EARTH_RADIUS_M - ay
+    seg_sq = dx * dx + dy * dy
+    span = line.chainage[1:] - line.chainage[:-1]
+    rows = []
+    for r0 in range(0, len(pts), rows_per_block):
+        plat = np.radians(pts[r0 : r0 + rows_per_block, 0])[:, None]
+        plon = np.radians(pts[r0 : r0 + rows_per_block, 1])[:, None]
+        px = (plon * coslat) * EARTH_RADIUS_M
+        py = plat * EARTH_RADIUS_M
+        w = np.clip(((px - ax) * dx + (py - ay) * dy) / seg_sq, 0.0, 1.0)
+        dist = np.hypot(px - (ax + w * dx), py - (ay + w * dy))
+        best = np.argmin(dist, axis=1)
+        i = np.arange(best.size)
+        chainage = line.chainage[best] + w[i, best] * span[best]
+        rows += zip(chainage.tolist(), dist[i, best].tolist(), best.tolist())
+    return rows
+
+
 def test_snap_many_empty():
     chainage, cross_track, segment = straight_line().snap_many([])
     assert chainage.shape == cross_track.shape == segment.shape == (0,)
@@ -241,7 +271,7 @@ def test_snap_many_returns_one_entry_per_point_in_each_column():
     assert (chainage.dtype, cross_track.dtype, segment.dtype) == (
         np.float64, np.float64, np.int64,
     )
-    assert snap_rows(line, points) == scalar_snap_rows(line, points)
+    assert snap_rows(line, points) == dense_snap_rows(line, points)
 
 
 def zigzag_line(n):
@@ -264,7 +294,7 @@ def test_blocked_snap_matches_per_point_snap(points, vertex_ids, block_elems):
     points = points + [line.vertices[i] for i in vertex_ids]
     with mock.patch.object(geo, "_SNAP_BLOCK_ELEMS", block_elems):
         got = snap_rows(line, points)
-    assert got == scalar_snap_rows(line, points)
+    assert got == scalar_snap_rows(line, points) == dense_snap_rows(line, points)
 
 
 def test_snap_ties_go_to_the_lowest_segment():
@@ -288,7 +318,137 @@ def test_snap_many_spans_several_blocks():
         (38.0 + rng.uniform(0.0, 0.6), -92.0 + rng.uniform(-0.001, 0.0014)) for _ in range(2000)
     ]
     assert len(points) > 2 * (geo._SNAP_BLOCK_ELEMS // (len(line.vertices) - 1))
-    assert snap_rows(line, points) == scalar_snap_rows(line, points)
+    assert snap_rows(line, points) == dense_snap_rows(line, points)
+
+
+def walk(start, legs):
+    """Vertices of a walk from *start* over (heading_deg, length_m) legs."""
+    lat, lon = start
+    vertices = [start]
+    for heading, length in legs:
+        lat += length * math.cos(math.radians(heading)) / M_PER_DEG
+        lon += length * math.sin(math.radians(heading)) / (M_PER_DEG * math.cos(math.radians(lat)))
+        vertices.append((lat, lon))
+    return vertices
+
+
+# 10 m legs beside multi-km ones, in any direction, so routes cross themselves
+_legs = st.lists(
+    st.tuples(st.floats(min_value=0.0, max_value=360.0),
+              st.one_of(st.sampled_from([10.0, 8.7, 2_500.0, 9_000.0]),
+                        st.floats(min_value=1.0, max_value=6_000.0))),
+    min_size=1, max_size=25,
+)
+
+
+@st.composite
+def routes_and_points(draw):
+    vertices = walk(COLUMBIA, draw(_legs))
+    if draw(st.booleans()):  # the same segments twice over: exact ties
+        vertices = vertices + vertices
+    line = Polyline(vertices)
+    lat0, lon0 = np.mean(vertices, axis=0)
+    along = st.builds(
+        lambda c, east: offset_point(*line.point_at(c), east_m=east),
+        st.floats(0.0, line.length_m), st.floats(-40.0, 40.0),
+    )
+    vertex = st.builds(
+        lambda i, east: offset_point(*line.vertices[i], east_m=east),
+        st.integers(0, len(vertices) - 1), st.sampled_from([0.0, 3.0, -12.0]),
+    )
+    far = st.tuples(st.floats(lat0 - 0.5, lat0 + 0.5), st.floats(lon0 - 0.5, lon0 + 0.5))
+    points = draw(st.lists(st.one_of(along, vertex, far),
+                           min_size=1, max_size=40))
+    return line, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(routes_and_points(), st.sampled_from([1, 5, 64, geo._SNAP_BLOCK_ELEMS]))
+def test_snap_many_matches_the_dense_oracle(route_points, block_elems):
+    line, points = route_points
+    with mock.patch.object(geo, "_SNAP_BLOCK_ELEMS", block_elems):
+        got = snap_rows(line, points)
+    assert got == dense_snap_rows(line, points)
+
+
+def snap_grid(line):
+    lat = np.radians([v[0] for v in line.vertices])
+    lon = np.radians([v[1] for v in line.vertices])
+    return geo._SegmentGrid.build(geo._SegmentFrames(lat, lon))
+
+
+def test_a_nearest_segment_outside_the_point_cells_is_found():
+    # 60 one-degree legs up a meridian (mean latitude about 31 degrees),
+    # then T east along 60 N to longitude b and S south along b
+    def route(b):
+        return Polyline([(float(lat), 0.0) for lat in range(61)] + [(60.0, b), (56.0, b)])
+
+    grid = snap_grid(route(10.0))
+
+    def lon_at(cells):
+        return math.degrees(cells * grid.cell / (grid.cos_g * EARTH_RADIUS_M))
+
+    # P near the east edge of cell column 3, 0.8 cells south of T; S just
+    # inside column 5, so outside P's 3 x 3 cells but only 1.02 cells east
+    line = route(lon_at(grid.x0 + 5.01))
+    assert snap_grid(line).cell == grid.cell
+    p = (60.0 - math.degrees(0.8 * grid.cell / EARTH_RADIUS_M), lon_at(grid.x0 + 3.99))
+    # at 58 N a segment's own frame shrinks x to about 0.62 of the global
+    # one: S is nearer than T, which a bound of one full cell would settle
+    [(_, cross_track, segment)] = snap_rows(line, [p])
+    assert segment == 61 and cross_track < 0.7 * grid.cell
+    assert grid.bound < 0.8 * grid.cell
+    assert snap_rows(line, [p]) == dense_snap_rows(line, [p])
+
+
+def test_a_long_diagonal_leg_widens_the_cells_instead_of_filling_them():
+    # 200 legs of 10 m, then one of 50 km at 45 degrees: at 40 m cells its
+    # bounding box alone would cover about 780k of them
+    line = Polyline(walk(COLUMBIA, [(90.0 + 180.0 * (k % 2), 10.0) for k in range(200)]
+                         + [(45.0, 50_000.0)]))
+    grid = snap_grid(line)
+    assert grid.seg.size <= geo._SNAP_CELLS_PER_SEGMENT * 201
+    rng = np.random.default_rng(8)
+    points = [offset_point(*line.point_at(c), east_m=rng.uniform(-30.0, 30.0))
+              for c in rng.uniform(0.0, line.length_m, 50)]
+    assert snap_rows(line, points) == dense_snap_rows(line, points)
+
+
+def test_non_finite_points_snap_as_the_first_minimum_over_all_segments():
+    line = bent_line()
+    points = [(math.nan, -92.0), (38.001, math.inf), (38.0005, -92.0001)]
+    got = line.snap_many(points)
+    want = [np.array(col) for col in zip(*dense_snap_rows(line, points))]
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_legs, st.lists(st.tuples(st.integers(-3, 12), st.integers(-3, 12),
+                                 st.sampled_from([0.0, 1e-9, -1e-9, 0.5])),
+                       min_size=1, max_size=30))
+def test_points_on_grid_cell_boundaries_match_the_dense_oracle(legs, cells):
+    line = Polyline(walk(COLUMBIA, legs))
+    grid = snap_grid(line)
+    points = [
+        (math.degrees((grid.y0 + j + f) * grid.cell / EARTH_RADIUS_M),
+         math.degrees((grid.x0 + i + f) * grid.cell / (grid.cos_g * EARTH_RADIUS_M)))
+        for i, j, f in cells
+    ]
+    assert snap_rows(line, points) == dense_snap_rows(line, points)
+
+
+def test_a_long_corridor_matches_the_dense_oracle_on_a_subsample():
+    # 20k vertices 8.7 m apart (about 174 km) and 36k fixes along them
+    rng = np.random.default_rng(12)
+    heading = 270.0 + np.cumsum(rng.normal(0.0, 0.4, 19_999))
+    line = Polyline(walk(COLUMBIA, zip(heading.tolist(), [8.7] * 19_999)))
+    along = np.sort(rng.uniform(0.0, line.length_m, 36_000))
+    points = np.array([line.point_at(c) for c in along])
+    points += rng.normal(0.0, 4.0, points.shape) / M_PER_DEG
+    got = snap_rows(line, points)
+    sample = np.sort(rng.choice(len(points), 400, replace=False))
+    assert [got[i] for i in sample] == dense_snap_rows(line, points[sample])
 
 
 # -- trace accuracy -------------------------------------------------------------

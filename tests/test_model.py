@@ -142,6 +142,36 @@ def test_frame_file_must_stay_inside_package(bad):
         FrameRef(t=0, index=0, file=bad)
 
 
+def passes_path_check(p) -> bool:
+    try:
+        model._check_relative_path("file", p)
+    except ValidationError:
+        return False
+    return True
+
+
+_PATH_EDGES = ["", ".", "..", "...", "a//b", "/x", "x/", "a\\b", "x/./y", "x/../y",
+               "./x", "x/.", "../x", "x/..", "a\nb", "a/\n/b", "\n", "..\n", "a/..\n/b"]
+_paths = st.one_of(
+    st.sampled_from(_PATH_EDGES),
+    st.text(alphabet="ab./\\\n", max_size=8),
+    st.lists(st.sampled_from(["", ".", "..", "a", "b.jpg", "\n", ".\n"]), min_size=1, max_size=4)
+    .map("/".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_paths, max_size=6))
+def test_joined_path_check_matches_the_per_path_check(paths):
+    assert model._relative_paths(paths) == all(map(passes_path_check, paths))
+
+
+@pytest.mark.parametrize("paths", [[b"a.jpg"], ["a.jpg", None], [7]])
+def test_joined_path_check_rejects_non_strings(paths):
+    assert not model._relative_paths(paths)
+    assert not all(map(passes_path_check, paths))
+
+
 def test_blob_entry_validation():
     with pytest.raises(ValidationError):
         BlobEntry(name="x", bytes=-1, sha256="0" * 64)

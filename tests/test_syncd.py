@@ -500,6 +500,53 @@ def raw_status(server, request: bytes) -> bytes:
     return reply.split(b"\r\n", 1)[0]
 
 
+def reply_to_eof(server, request: bytes) -> bytes:
+    """Send one raw request and read until the server closes."""
+    with socket.create_connection((server.host, server.port), timeout=5) as s:
+        s.sendall(request)
+        reply = b""
+        while chunk := s.recv(4096):
+            reply += chunk
+    return reply
+
+
+def test_an_unread_body_is_not_parsed_as_the_next_request(server):
+    smuggled = b"GET /v1/stream HTTP/1.1\r\n\r\n"
+    reply = reply_to_eof(
+        server,
+        b"POST /v1/nope HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n" % len(smuggled)
+        + smuggled,
+    )
+    assert len(re.findall(rb"HTTP/1\.[01] \d{3} ", reply)) == 1
+    assert reply.startswith(b"HTTP/1.1 404 ")
+
+
+@pytest.mark.parametrize("method, path, status", [
+    ("GET", "/v1/packages", b"200"),
+    ("GET", "/v1/packages/x/blobs/y", b"404"),
+    ("HEAD", "/v1/packages/x/blobs/y", b"404"),
+    ("GET", "/v1/nope", b"404"),
+])
+def test_endpoints_that_read_no_body_close_after_a_declared_one(server, method, path, status):
+    reply = reply_to_eof(
+        server,
+        f"{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\n\r\nhello".encode(),
+    )
+    assert len(re.findall(rb"HTTP/1\.[01] \d{3} ", reply)) == 1
+    assert reply.split(b"\r\n", 1)[0].split(b" ")[1] == status
+    assert b"501" not in reply
+
+
+def test_a_chunked_request_body_ends_the_connection(server):
+    reply = reply_to_eof(
+        server,
+        b"GET /v1/packages HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"GET /v1/nope HTTP/1.1\r\nHost: t\r\n\r\n",
+    )
+    assert len(re.findall(rb"HTTP/1\.[01] \d{3} ", reply)) == 1
+    assert reply.startswith(b"HTTP/1.1 200 ")
+
+
 def test_malformed_since_seq_is_400(server):
     status = raw_status(
         server,
