@@ -69,12 +69,21 @@ class SnapResult:
 
 class Polyline:
     """Reference road line: ordered (lat, lon) vertices with cumulative
-    chainage per vertex. Zero-length segments are rejected."""
+    chainage per vertex. Non-finite or out-of-range vertices and
+    zero-length segments are rejected."""
 
     def __init__(self, vertices: Sequence[tuple[float, float]]):
         if len(vertices) < 2:
             raise ValidationError("polyline needs at least 2 vertices", field="vertices")
         self.vertices = [(float(lat), float(lon)) for lat, lon in vertices]
+        for i, (lat, lon) in enumerate(self.vertices):
+            # NaN and the infinities fail these comparisons
+            if not (abs(lat) <= 90.0 and abs(lon) <= 180.0):
+                raise ValidationError(
+                    f"vertex {i} ({lat}, {lon}) is not a finite lat in [-90, 90]"
+                    " and lon in [-180, 180]",
+                    field="vertices",
+                )
         chainage = [0.0]
         for a, b in zip(self.vertices, self.vertices[1:]):
             d = haversine(a, b)

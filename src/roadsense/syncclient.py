@@ -7,21 +7,37 @@ needs: a refused connect raises ServerRejected (the attempt is consumed
 and retried with backoff), an error on an established exchange raises
 NetworkError (resume is free; offsets are re-asked from the server),
 and a 416 raises OffsetMismatch carrying the server's durable offset.
+
+Transport: ``HttpTransport`` holds one keep-alive socket with Nagle's
+algorithm off (TCP_NODELAY) and speaks HTTP/1.1 on it directly. A
+request goes out in one ``sendall``, with the bytes ``http.client`` sent:
+its line, ``Host``, ``Accept-Encoding: identity``, ``Content-Length``
+(unless the caller gives one), the caller's headers and the body. A body
+over ``INLINE_BODY_BYTES`` follows the head in a second ``sendall`` instead
+of being copied onto it. The reply's status line is read here and its
+header lines by ``syncd.read_fields``, the reader the service uses for
+requests; the body is read by ``Content-Length``, is empty for HEAD and
+204 replies, and runs to EOF when no length is given. A ``Connection:
+close`` reply, or any socket or parse failure, drops the socket, and the
+next request opens a new one. ``EventStream`` opens its subscription
+through the same code.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import queue
 import socket
 import threading
+import time
 import urllib.parse
 
 from .errors import NetworkError
 from .model import PackageManifest, serialize_manifest
 from .packstore import OffsetMismatch, ServerRejected
-from .syncd import OFFSET_HEADER
+from .syncd import MAX_LINE_BYTES, OFFSET_HEADER, HeadError, read_fields
+
+INLINE_BODY_BYTES = 64 * 1024  # larger bodies are not copied onto the head
 
 
 def _error_text(body: bytes) -> str:
@@ -46,24 +62,77 @@ class HttpTransport:
         self.host = parsed.hostname
         self.port = parsed.port or 80
         self.timeout = timeout
-        self._conn: http.client.HTTPConnection | None = None
+        netloc = f"[{self.host}]" if ":" in self.host else self.host
+        self._host_field = netloc if self.port == 80 else f"{netloc}:{self.port}"
+        self._sock: socket.socket | None = None
+        self._rfile = None
 
-    def _connect(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+    def _connect(self) -> socket.socket:
+        if self._sock is None:
             try:
-                conn.connect()
+                sock = socket.create_connection((self.host, self.port), self.timeout)
             except OSError as e:
                 raise ServerRejected(f"cannot reach {self.host}:{self.port}: {e}") from e
-            self._conn = conn
-        return self._conn
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock, self._rfile = sock, sock.makefile("rb")
+        return self._sock
 
     def close(self) -> None:
-        if self._conn is not None:
+        sock, rfile = self._sock, self._rfile
+        self._sock = self._rfile = None
+        if sock is not None:
             try:
-                self._conn.close()
+                rfile.close()
             finally:
-                self._conn = None
+                sock.close()
+
+    def _send(self, method: str, path: str, body: bytes | None, headers: dict | None) -> None:
+        """Send one request; a None body also leaves out ``Content-Length``."""
+        lines = [
+            f"{method} {path} HTTP/1.1", f"Host: {self._host_field}", "Accept-Encoding: identity"
+        ]
+        headers = headers or {}
+        if body is None:
+            body = b""
+        elif not any(k.lower() == "content-length" for k in headers):
+            lines.append(f"Content-Length: {len(body)}")
+        lines += [f"{k}: {v}" for k, v in headers.items()]
+        lines += ("", "")
+        head = "\r\n".join(lines).encode("iso-8859-1")
+        sock = self._connect()
+        if len(body) > INLINE_BODY_BYTES:
+            sock.sendall(head)
+            sock.sendall(body)
+        else:
+            sock.sendall(head + body)
+
+    def _read_head(self) -> tuple[int, dict]:
+        """The status and the lowercased fields of the next reply head."""
+        line = self._rfile.readline(MAX_LINE_BYTES + 1)
+        if not line:
+            raise NetworkError("the server closed the connection without a reply")
+        words = line.split(None, 2)
+        if (
+            len(line) > MAX_LINE_BYTES
+            or len(words) < 2
+            or not words[0].startswith(b"HTTP/")
+            or not (len(words[1]) == 3 and words[1].isdigit())
+        ):
+            raise NetworkError(f"malformed status line {line[:64]!r}")
+        return int(words[1]), read_fields(self._rfile)
+
+    def _open(
+        self, method: str, path: str, body: bytes | None, headers: dict | None = None
+    ) -> tuple[int, dict]:
+        """Send a request and read its reply head; the body stays unread.
+        Any failure after the connect closes the socket and raises
+        NetworkError."""
+        try:
+            self._send(method, path, body, headers)
+            return self._read_head()
+        except (OSError, ValueError, HeadError, NetworkError) as e:
+            self.close()
+            raise NetworkError(f"{method} {path} failed mid-exchange: {e}") from e
 
     def request(
         self,
@@ -73,17 +142,29 @@ class HttpTransport:
         headers: dict | None = None,
     ) -> tuple[int, dict, bytes]:
         """Returns (status, lowercase header dict, body bytes)."""
-        conn = self._connect()
+        status, fields = self._open(method, path, body, headers)
+        return status, fields, self._read_body(method, path, status, fields)
+
+    def _read_body(self, method: str, path: str, status: int, fields: dict) -> bytes:
+        """The body of the reply whose head ``_open`` returned."""
+        close = "close" in fields.get("connection", "").lower()
         try:
-            conn.request(method, path, body=body, headers=headers or {})
-            resp = conn.getresponse()
-            data = resp.read()
-        except (http.client.HTTPException, OSError) as e:
+            if method == "HEAD" or status in (204, 304) or status < 200:
+                data = b""
+            elif "content-length" in fields:
+                n = int(fields["content-length"])
+                data = self._rfile.read(n)
+                if len(data) != n:
+                    raise NetworkError(f"reply body ended after {len(data)} of {n} bytes")
+            else:
+                data = self._rfile.read()  # the body runs to EOF
+                close = True
+        except (OSError, ValueError, NetworkError) as e:
             self.close()
             raise NetworkError(f"{method} {path} failed mid-exchange: {e}") from e
-        if resp.will_close:
+        if close:
             self.close()
-        return resp.status, {k.lower(): v for k, v in resp.getheaders()}, data
+        return data
 
 
 class StreamEnded(NetworkError):
@@ -97,21 +178,20 @@ class EventStream:
 
     def __init__(self, host: str, port: int, from_seq: int, timeout: float = 10.0):
         self.last_seq = from_seq
-        self._conn = http.client.HTTPConnection(host, port, timeout=timeout)
+        netloc = f"[{host}]" if ":" in host else host
+        self._transport = HttpTransport(f"http://{netloc}:{port}", timeout=timeout)
         path = f"/v1/stream?from_seq={from_seq}"
         try:
-            self._conn.request("GET", path)
-            # the response arrives with Connection: close, after which the
-            # connection object forgets its socket; keep it for close()
-            self._sock = self._conn.sock
-            resp = self._conn.getresponse()
-        except OSError as e:
+            status, fields = self._transport._open("GET", path, None)
+            if status != 200:
+                body = self._transport._read_body("GET", path, status, fields)
+                self._transport.close()
+                raise ServerRejected(f"stream: HTTP {status}: {_error_text(body)}")
+        except NetworkError as e:
             raise ServerRejected(f"cannot open event stream: {e}") from e
-        if resp.status != 200:
-            body = resp.read()
-            self._conn.close()
-            raise ServerRejected(f"stream: HTTP {resp.status}: {_error_text(body)}")
-        self._resp = resp
+        # the reply ends with the connection (Connection: close); keep the
+        # socket and its reader for the pump and for close()
+        self._sock, self._rfile = self._transport._sock, self._transport._rfile
         self._lines: queue.Queue = queue.Queue()
         self._thread = threading.Thread(target=self._pump, daemon=True)
         self._thread.start()
@@ -119,11 +199,11 @@ class EventStream:
     def _pump(self) -> None:
         try:
             while True:
-                line = self._resp.fp.readline()
+                line = self._rfile.readline()
                 if not line:
                     break
                 self._lines.put(line)
-        except (OSError, ValueError, AttributeError):
+        except (OSError, ValueError):
             pass
         finally:
             self._lines.put(None)
@@ -133,11 +213,9 @@ class EventStream:
 
         Raises StreamEnded once the server (or close()) ends the stream.
         """
-        import time as _time
-
-        deadline = None if timeout is None else _time.monotonic() + timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            remaining = None if deadline is None else max(0.0, deadline - _time.monotonic())
+            remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
             try:
                 line = self._lines.get(timeout=remaining)
             except queue.Empty:
@@ -155,23 +233,15 @@ class EventStream:
             return doc
 
     def close(self) -> None:
-        # shut the socket down first: the pump thread holds the response
-        # buffer's lock inside readline(), so resp.close() would block on
-        # it until the read timeout expired
-        if self._sock is not None:
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+        # shut the socket down first: the pump thread holds the reader's
+        # lock inside readline(), so closing the reader would block on it
+        # until the read timeout expired
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._thread.join(timeout=2)
-        try:
-            self._resp.close()
-        except Exception:
-            pass
-        try:
-            self._conn.close()
-        except Exception:
-            pass
+        self._transport.close()
 
     def __enter__(self) -> "EventStream":
         return self

@@ -11,9 +11,10 @@ Endpoints:
     GET  /v1/packages?since_seq=k          committed manifests after k
     GET  /v1/stream?from_seq=k             SSE: replay then live-tail commits
 
-Durability: blob chunks are fsync'd on append and offsets are recovered
-from file sizes at boot; commits append to an fsync'd JSONL log replayed
-at boot, so a restart loses no committed package and no durable offset.
+Durability: blob chunks are fsync'd on append, before the offset moves
+and the 204 goes out, and offsets are recovered from file sizes at boot;
+commits append to an fsync'd JSONL log replayed at boot, so a restart
+loses no committed package and no durable offset.
 A crash in mid-append can leave an unterminated last line in the log;
 that commit was never acknowledged, so boot truncates it. A corrupt line
 that is terminated still refuses to boot.
@@ -24,6 +25,22 @@ The one dispatch sends it, so endpoint bodies hold only the success path.
 A request that declares a body no endpoint reads (a GET, a HEAD, an
 unknown route) gets its one reply and then the connection ends, so the
 body's bytes are never parsed as a next request.
+
+Request heads: ``SyncHandler.parse_request`` keeps the stdlib's
+request-line rules and replies (400 for bad syntax or an unreadable
+version, 505 for HTTP/2 and later, HTTP/0.9 GETs, ``//`` collapsed to
+``/``) and reads the header lines itself with ``read_fields``, which the
+client uses for reply heads too. The rules:
+
+- the limits are the stdlib's: a line over 65,536 bytes gets 431 "Line too
+  long", and more than 100 lines with the blank one that ends the head get
+  431 "Too many headers";
+- names are matched without regard to case, and the first occurrence of a
+  name wins, as ``HTTPMessage.get`` does; values lose surrounding blanks;
+- an obs-fold continuation line (RFC 9112 section 5.2), a line without a
+  colon and a name that is not a token get 400 "Bad header line", and the
+  connection ends (the stdlib dropped every header after such a line);
+- ``Connection`` and ``Expect: 100-continue`` work as in the stdlib.
 
 Latency: the handler turns Nagle's algorithm off (TCP_NODELAY).
 ``BaseHTTPRequestHandler`` sends the headers and the body of a reply in
@@ -60,8 +77,13 @@ log = logging.getLogger(__name__)
 COMMIT_LOG_NAME = "commits.jsonl"
 PACKAGES_DIRNAME = "packages"
 OFFSET_HEADER = "Upload-Offset"
+_OFFSET_FIELD = OFFSET_HEADER.lower()  # its key in a request's fields
 SUBSCRIBER_QUEUE_SIZE = 256  # commits a subscriber may lag before it is dropped
 
+MAX_LINE_BYTES = 65536  # longest head line, as in the stdlib's http modules
+MAX_HEAD_LINES = 100  # most lines after the start line, the blank one included
+
+_FIELD_NAME = re.compile(rb"[!#$%&'*+.^_`|~0-9A-Za-z-]+")  # an RFC 9110 token
 _ROUTE_PACKAGES = re.compile(r"^/v1/packages$")
 _ROUTE_COMMIT = re.compile(r"^/v1/packages/([^/]+)/commit$")
 _ROUTE_BLOB = re.compile(r"^/v1/packages/([^/]+)/blobs/(.+)$")
@@ -84,11 +106,14 @@ class EventRecord:
 
 @dataclass(eq=False, slots=True)
 class _Blob:
-    """One manifest blob on the server: its entry, its durable offset and
-    the lock that serializes appends to it."""
+    """One manifest blob on the server: its entry, its file, its durable
+    offset and the lock that serializes appends to it. ``new_dir`` names
+    the directory that the first append of a nested name makes."""
 
     entry: BlobEntry
+    path: str
     offset: int = 0
+    new_dir: str | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
@@ -96,9 +121,13 @@ class ServerPackage:
     """A registered manifest, one ``_Blob`` per manifest blob, and the
     commit event once the package is committed."""
 
-    def __init__(self, manifest: PackageManifest):
+    def __init__(self, manifest: PackageManifest, pkg_dir: str):
         self.manifest = manifest
-        self.blobs = {b.name: _Blob(b) for b in manifest.blobs}
+        self.blobs = {}
+        for b in manifest.blobs:
+            blob = self.blobs[b.name] = _Blob(b, os.path.join(pkg_dir, b.name))
+            if "/" in b.name:
+                blob.new_dir = os.path.dirname(blob.path)
         self.event: EventRecord | None = None
         self.listing_doc: dict | None = None  # this package's item in committed_since
 
@@ -144,11 +173,10 @@ class Registry:
             manifest_path = child / "manifest.json"
             if not child.is_dir() or not manifest_path.is_file():
                 continue
-            pkg = ServerPackage(parse_manifest(manifest_path.read_bytes()))
+            pkg = ServerPackage(parse_manifest(manifest_path.read_bytes()), str(child))
             self.packages[pkg.manifest.package_id] = pkg
-            for name, blob in pkg.blobs.items():
-                path = child / name
-                blob.offset = path.stat().st_size if path.is_file() else 0
+            for blob in pkg.blobs.values():
+                blob.offset = os.path.getsize(blob.path) if os.path.isfile(blob.path) else 0
         for lineno, line in enumerate(self._read_commit_log(), start=1):
             line = line.strip()
             if not line:
@@ -211,7 +239,7 @@ class Registry:
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, pkg_dir / "manifest.json")
-            pkg = ServerPackage(manifest)
+            pkg = ServerPackage(manifest, str(pkg_dir))
             self.packages[manifest.package_id] = pkg
             return 201, self._session_doc(pkg)
 
@@ -255,21 +283,23 @@ class Registry:
                 raise OffsetError(durable)
             if end > blob.entry.bytes:
                 raise OffsetError(durable, detail=f"chunk exceeds declared size {blob.entry.bytes}")
-            path = self.packages_dir / package_id / name
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "ab") as f:
-                f.write(data)
-                f.flush()
-                os.fsync(f.fileno())
+            if blob.new_dir is not None:
+                os.makedirs(blob.new_dir, exist_ok=True)
+                blob.new_dir = None
+            fd = os.open(blob.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+                os.fsync(fd)  # durable before the offset moves and the 204
+            finally:
+                os.close(fd)
             blob.offset = end
             return end
 
     def read_blob(self, package_id: str, name: str) -> bytes:
-        self._get_package(package_id).blob(name)  # NotFound for an unknown blob
-        path = self.packages_dir / package_id / name
-        if not path.is_file():
-            return b""
-        return path.read_bytes()
+        path = self._get_package(package_id).blob(name).path  # NotFound for an unknown blob
+        return Path(path).read_bytes() if os.path.isfile(path) else b""
 
     # -- commit -----------------------------------------------------------
 
@@ -294,7 +324,7 @@ class Registry:
         for name, blob in pkg.blobs.items():
             if blob.entry.bytes == 0:
                 continue
-            if sha256_file(self.packages_dir / package_id / name) != blob.entry.sha256:
+            if sha256_file(blob.path) != blob.entry.sha256:
                 raise DigestMismatch(name)
         with self.lock:
             if pkg.event is not None:
@@ -372,6 +402,43 @@ class OffsetError(RequestError):
         self.expected = expected
 
 
+class HeadError(Exception):
+    """A head broke the header rules. ``status`` and ``reason`` are the
+    reply the service sends for it, and the message explains it."""
+
+    def __init__(self, status: int, reason: str, explain: str):
+        super().__init__(explain)
+        self.status = status
+        self.reason = reason
+
+
+def read_fields(rfile) -> dict[str, str]:
+    """Read the header lines of a request or reply head from ``rfile``, up
+    to and including the blank line that ends it.
+
+    Returns the fields by lowercased name; the first occurrence of a name
+    wins, as ``HTTPMessage.get`` does. Values lose surrounding blanks.
+    """
+    fields: dict[str, str] = {}
+    for _ in range(MAX_HEAD_LINES):
+        line = rfile.readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise HeadError(
+                431, "Line too long",
+                f"got more than {MAX_LINE_BYTES} bytes when reading header line",
+            )
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        name, colon, value = line.partition(b":")
+        # an obs-fold line starts with a blank, so its "name" is no token
+        if not colon or not _FIELD_NAME.fullmatch(name):
+            raise HeadError(400, "Bad header line", f"bad header line {line[:64]!r}")
+        key = name.decode("ascii").lower()
+        if key not in fields:
+            fields[key] = value.strip(b" \t\r\n").decode("iso-8859-1")
+    raise HeadError(431, "Too many headers", f"got more than {MAX_HEAD_LINES} headers")
+
+
 def _parse_int(text: str, name: str) -> int:
     try:
         return int(text)
@@ -443,7 +510,67 @@ def _make_handler(registry: Registry, hub: EventHub, stopping: threading.Event, 
         # -- plumbing -----------------------------------------------------
 
         def log_message(self, fmt, *args):
-            log.debug("%s %s", self.address_string(), fmt % args)
+            if log.isEnabledFor(logging.DEBUG):
+                log.debug("%s %s", self.address_string(), fmt % args)
+
+        def parse_request(self) -> bool:
+            """The stdlib's request-line rules and replies, then the head
+            through ``read_fields``; see the module docstring."""
+            self.command = None  # set in case of an error on the request line
+            self.request_version = version = self.default_request_version
+            self.close_connection = True
+            requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+            self.requestline = requestline
+            words = requestline.split()
+            if not words:
+                return False
+            if len(words) >= 3:
+                version = words[-1]
+                try:
+                    if not version.startswith("HTTP/"):
+                        raise ValueError
+                    base_version = version.split("/", 1)[1]
+                    parts = base_version.split(".")
+                    if len(parts) != 2 or not all(p.isdigit() and len(p) <= 10 for p in parts):
+                        raise ValueError
+                    number = int(parts[0]), int(parts[1])
+                except (ValueError, IndexError):
+                    self.send_error(400, f"Bad request version ({version!r})")
+                    return False
+                if number >= (1, 1):
+                    self.close_connection = False
+                if number >= (2, 0):
+                    self.send_error(505, f"Invalid HTTP version ({base_version})")
+                    return False
+                self.request_version = version
+            if not 2 <= len(words) <= 3:
+                self.send_error(400, f"Bad request syntax ({requestline!r})")
+                return False
+            command, path = words[:2]
+            if len(words) == 2:  # HTTP/0.9
+                self.close_connection = True
+                if command != "GET":
+                    self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
+                    return False
+            if path.startswith("//"):  # no open redirect through "//host/path"
+                path = "/" + path.lstrip("/")
+            self.command, self.path = command, path
+            try:
+                self.headers = read_fields(self.rfile)
+            except HeadError as e:
+                self.send_error(e.status, e.reason, str(e))
+                return False
+            conntype = self.headers.get("connection", "").lower()
+            if conntype == "close":
+                self.close_connection = True
+            elif conntype == "keep-alive":
+                self.close_connection = False
+            if (
+                self.headers.get("expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"
+            ):
+                return self.handle_expect_100()
+            return True
 
         def _send_body(
             self, status: int, body: bytes, content_type: str, headers: dict | None = None
@@ -467,7 +594,7 @@ def _make_handler(registry: Registry, hub: EventHub, stopping: threading.Event, 
             self.end_headers()
 
         def _read_body(self) -> bytes:
-            length = self.headers.get("Content-Length")
+            length = self.headers.get("content-length")
             if length is None:
                 raise RequestError(411, "length_required")
             try:
@@ -481,7 +608,7 @@ def _make_handler(registry: Registry, hub: EventHub, stopping: threading.Event, 
                 raise RequestError(413, "body_too_large", close=True, max_bytes=max_body_bytes)
             body = self.rfile.read(n)
             # a chunked body is not framed by Content-Length: its rest stays unread
-            self.unread_body = "Transfer-Encoding" in self.headers
+            self.unread_body = "transfer-encoding" in self.headers
             return body
 
         def _query_int(self, name: str) -> int:
@@ -494,8 +621,8 @@ def _make_handler(registry: Registry, hub: EventHub, stopping: threading.Event, 
             parts = urllib.parse.urlsplit(self.path)
             self.query = parts.query
             self.unread_body = (
-                "Transfer-Encoding" in self.headers
-                or self.headers.get("Content-Length") not in (None, "0")
+                "transfer-encoding" in self.headers
+                or self.headers.get("content-length") not in (None, "0")
             )
             try:
                 for pattern, endpoint in self._ROUTES[self.command]:
@@ -528,7 +655,7 @@ def _make_handler(registry: Registry, hub: EventHub, stopping: threading.Event, 
         def _put_chunk(self, package_id: str, name: str):
             # the body first: a refused length is answered before a bad offset
             body = self._read_body()
-            offset_header = self.headers.get(OFFSET_HEADER)
+            offset_header = self.headers.get(_OFFSET_FIELD)
             if offset_header is None:
                 raise RequestError(400, f"missing {OFFSET_HEADER} header")
             offset = _parse_int(offset_header, OFFSET_HEADER)

@@ -160,6 +160,16 @@ def test_missing_paths_exit_3(tmp_path, capsys):
     assert "void.csv" in capsys.readouterr().err
 
 
+def test_a_route_with_a_bad_vertex_exits_1(tmp_path, capsys):
+    route = tmp_path / "route.geojson"
+    route.write_text('{"type": "LineString", "coordinates": [[-92.0, 38.0], [-92.0, NaN]]}')
+    assert main([
+        "analyze", "--package", str(tmp_path / "void"), "--out", str(tmp_path / "r"),
+        "--route", str(route),
+    ]) == 1  # the route loads before the package is read
+    assert "vertex 1 " in capsys.readouterr().err
+
+
 def test_chunk_bytes_below_one_exits_2_before_any_request(sim_lib, capsys):
     _, pkg_dir, _, _ = sim_lib
     assert main([

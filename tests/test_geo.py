@@ -86,6 +86,35 @@ def test_polyline_rejects_degenerate_input():
         Polyline([(38.0, -92.0), (38.0, -92.0)])
 
 
+@pytest.mark.parametrize("bad", [
+    (math.nan, -92.0), (38.0, math.nan), (math.inf, -92.0), (38.0, -math.inf),
+    (90.5, -92.0), (-90.5, -92.0), (38.0, 180.5), (38.0, -180.5),
+])
+def test_polyline_rejects_non_finite_and_out_of_range_vertices(bad):
+    with pytest.raises(ValidationError, match=r"^vertex 2 ") as e:
+        Polyline([(38.0, -92.0), (38.001, -92.0), bad, (38.002, -92.0)])
+    assert e.value.field == "vertices"
+
+
+def test_polyline_accepts_vertices_on_the_range_limits():
+    line = Polyline([(-90.0, -180.0), (0.0, 0.0), (90.0, 180.0)])
+    assert line.length_m == pytest.approx(math.pi * EARTH_RADIUS_M, rel=1e-12)
+
+
+def test_from_geojson_rejects_non_finite_and_out_of_range_vertices():
+    # json.loads reads NaN and Infinity, so a route file can carry them
+    for coord in ("NaN", "Infinity"):
+        text = (
+            '{"type": "LineString", "coordinates": '
+            f'[[-92.0, 38.0], [-92.0, {coord}], [-92.0, 38.002]]}}'
+        )
+        with pytest.raises(ValidationError, match=r"^vertex 1 "):
+            Polyline.from_geojson(text)
+    geom = {"type": "LineString", "coordinates": [[-92.0, 38.0], [-92.0, 38.001], [181.0, 38.0]]}
+    with pytest.raises(ValidationError, match=r"^vertex 2 "):
+        Polyline.from_geojson(geom)
+
+
 def test_from_geojson_unwraps_wrappers(tmp_path):
     coords = [[-92.0, 38.0], [-92.0, 38.001]]  # lon, lat order on the wire
     geom = {"type": "LineString", "coordinates": coords}

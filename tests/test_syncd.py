@@ -547,6 +547,145 @@ def test_a_chunked_request_body_ends_the_connection(server):
     assert reply.startswith(b"HTTP/1.1 200 ")
 
 
+def reply_and_fate(server, request: bytes) -> tuple[bytes, bool]:
+    """Send one raw request; return the reply and whether the server then
+    closed the connection (EOF or reset before the timeout)."""
+    with socket.create_connection((server.host, server.port), timeout=5) as s:
+        try:
+            s.sendall(request)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # refused before the request's end; the reply is still readable
+        reply = b""
+        try:
+            while chunk := s.recv(65536):
+                reply += chunk
+            closed = True
+        except ConnectionResetError:  # the server closed with request bytes unread
+            closed = True
+        except TimeoutError:
+            closed = False
+    return reply, closed
+
+
+def head_reply(server, request: bytes) -> tuple[bytes, bool]:
+    """The reply's status line and whether the server closed the connection."""
+    reply, closed = reply_and_fate(server, request)
+    assert b"\r\n" in reply, f"no status line: {reply!r}"
+    return reply.split(b"\r\n", 1)[0], closed
+
+
+def get_listing(*fields: bytes) -> bytes:
+    return b"GET /v1/packages HTTP/1.1\r\n" + b"".join(f + b"\r\n" for f in fields) + b"\r\n"
+
+
+@pytest.mark.parametrize("n_fields, status", [
+    (99, b"HTTP/1.1 200 OK"),  # 100 head lines with the blank one
+    (100, b"HTTP/1.1 431 Too many headers"),
+    (101, b"HTTP/1.1 431 Too many headers"),
+])
+def test_the_head_line_limit_is_the_stdlibs(server, n_fields, status):
+    fields = [b"Connection: close"] + [b"X-Filler-%d: %d" % (i, i) for i in range(n_fields - 1)]
+    assert head_reply(server, get_listing(*fields)) == (status, True)
+
+
+@pytest.mark.parametrize("line_bytes, status", [
+    (65_536, b"HTTP/1.1 200 OK"),
+    (65_537, b"HTTP/1.1 431 Line too long"),
+])
+def test_the_header_line_length_limit_is_the_stdlibs(server, line_bytes, status):
+    filler = b"X-Filler: " + b"a" * (line_bytes - len(b"X-Filler: \r\n"))
+    assert len(filler + b"\r\n") == line_bytes
+    assert head_reply(server, get_listing(filler, b"Connection: close")) == (status, True)
+
+
+@pytest.mark.parametrize("bad_line", [
+    b"Content-Length 2",  # no colon: the stdlib dropped it and every line after it
+    b" folded-onto-host",  # obs-fold, RFC 9112 section 5.2
+    b"\tfolded-onto-host",
+    b"Bad Name: x",
+    b": no name",
+])
+def test_a_malformed_header_line_gets_400_and_the_connection_ends(server, bad_line):
+    request = get_listing(b"Host: t", bad_line, b"Connection: keep-alive")
+    assert head_reply(server, request) == (b"HTTP/1.1 400 Bad header line", True)
+
+
+def test_a_duplicated_content_length_keeps_its_first_value(server):
+    manifest, payloads = wire_package()
+    with SyncClient(server.base_url) as client:
+        client.create_session(manifest)
+    pid = manifest.package_id
+    # with the second value the server would wait for 3 more body bytes
+    reply = reply_to_eof(
+        server,
+        f"PUT /v1/packages/{pid}/blobs/sensors.jsonl HTTP/1.1\r\n".encode()
+        + b"Host: t\r\nUpload-Offset: 0\r\nContent-Length: 2\r\nContent-Length: 5\r\n"
+        b"Connection: close\r\n\r\n"
+        + payloads["sensors.jsonl"][:2],
+    )
+    assert reply.startswith(b"HTTP/1.1 204 No Content\r\n")
+    assert b"\r\nUpload-Offset: 2\r\n" in reply
+    assert server.registry.blob_offset(pid, "sensors.jsonl") == 2
+
+
+def test_header_names_are_case_insensitive_and_values_lose_blanks(server):
+    manifest, payloads = wire_package()
+    with SyncClient(server.base_url) as client:
+        client.create_session(manifest)
+    reply = reply_to_eof(
+        server,
+        f"PUT /v1/packages/{manifest.package_id}/blobs/sensors.jsonl HTTP/1.1\r\n".encode()
+        + b"host: t\r\nUPLOAD-OFFSET:0\r\ncontent-length: \t3 \r\nconnection: CLOSE\r\n\r\n"
+        + payloads["sensors.jsonl"][:3],
+    )
+    assert reply.startswith(b"HTTP/1.1 204 No Content\r\n")
+    assert b"\r\nUpload-Offset: 3\r\n" in reply
+
+
+@pytest.mark.parametrize("request_line, start", [
+    (b"GET /v1 packages HTTP/1.1",
+     b"HTTP/1.1 400 Bad request syntax ('GET /v1 packages HTTP/1.1')"),
+    (b"DELETE /v1/packages HTTP/1.1", b"HTTP/1.1 501 Unsupported method ('DELETE')"),
+    (b"GET //v1/packages HTTP/1.0", b"HTTP/1.1 200 OK"),  # "//" collapses to "/"
+    # a version that cannot be read is answered as HTTP/0.9: the error page
+    # without a status line, as the stdlib's parse_request does
+    (b"GET /v1/packages HTTP/2.0", b"<!DOCTYPE HTML>"),
+    (b"GET /v1/packages HTTP/1", b"<!DOCTYPE HTML>"),
+    (b"GET /v1/packages FTP/1.1", b"<!DOCTYPE HTML>"),
+    (b"POST /v1/packages", b"<!DOCTYPE HTML>"),
+])
+def test_request_lines_follow_the_stdlib_rules(server, request_line, start):
+    reply, closed = reply_and_fate(server, request_line + b"\r\nHost: t\r\n\r\n")
+    assert reply.startswith(start) and closed
+    messages = {
+        b"HTTP/2.0": b"<p>Error code: 505</p>\n        <p>Message: Invalid HTTP version (2.0).",
+        b"HTTP/1": b"<p>Error code: 400</p>\n        <p>Message: Bad request version ('HTTP/1').",
+        b"FTP/1.1": b"<p>Error code: 400</p>\n        <p>Message: Bad request version ('FTP/1.1').",
+        b"/v1/packages": b"<p>Message: Bad HTTP/0.9 request type ('POST').",
+    }
+    if start == b"<!DOCTYPE HTML>":
+        assert messages[request_line.rsplit(b" ", 1)[1]] in reply
+    if start == b"HTTP/1.1 200 OK":
+        assert reply.endswith(b"\r\n\r\n[]\n")
+
+
+def test_expect_100_continue_gets_an_interim_reply(server):
+    with socket.create_connection((server.host, server.port), timeout=5) as s:
+        s.sendall(
+            b"POST /v1/packages HTTP/1.1\r\nHost: t\r\nContent-Length: 8\r\n"
+            b"Expect: 100-continue\r\nConnection: close\r\n\r\n"
+        )
+        interim = b""
+        while not interim.endswith(b"\r\n\r\n"):
+            interim += s.recv(1)
+        s.sendall(b"not json")
+        reply = b""
+        while chunk := s.recv(4096):
+            reply += chunk
+    assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+    assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+
+
 def test_malformed_since_seq_is_400(server):
     status = raw_status(
         server,
