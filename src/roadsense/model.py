@@ -438,7 +438,7 @@ _FAST_TYPES = {
     "optional": frozenset({int, float, type(None)}),
     "str": frozenset({str}),
 }
-_INT64_MAX = np.iinfo(np.int64).max
+INT64_MAX = np.iinfo(np.int64).max
 _BLOCK_LINES = 1024  # decoded JSON objects decode_jsonl_columns holds at once
 _JSON = json.JSONDecoder()
 
@@ -556,7 +556,7 @@ def decode_jsonl_columns(data: bytes, record_cls, stream_name: str) -> StreamCol
     ints = [name for name, kind in _COLUMN_KINDS[record_cls] if kind == "int"]
     for i, r in enumerate(records):
         for name in ints:
-            if getattr(r, name) > _INT64_MAX:
+            if getattr(r, name) > INT64_MAX:
                 lineno = [k for k, raw in enumerate(data.split(b"\n"), start=1) if raw][i]
                 raise ValidationError(
                     f"{stream_name}: {name} beyond the int64 range at line {lineno}", field=name

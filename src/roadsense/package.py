@@ -9,14 +9,22 @@ Layout (fixed):
       frames.jsonl         # one FrameRef per line
       frames/<NNNNNN>.jpg  # optional payloads
       upload_state.json    # sidecar, not a blob (see packstore)
+      checked.sha256       # stream-check memo, not a blob (see below)
 
-Every file except manifest.json and upload_state.json is a blob tracked
-in the manifest with size and sha256.
+Every file except manifest.json, upload_state.json and checked.sha256 is a
+blob tracked in the manifest with size and sha256.
 
 ``load_package`` validates a package and decodes each stream once into
 ``StreamColumns`` (numpy arrays per field); the checks run on those
 columns, and analysis reuses them. ``read_stream``/``read_streams`` decode
 into records, the API at the edges.
+
+The memo holds the sha256 of the manifest.json bytes whose streams passed
+every stream check (the manifest pins the stream bytes). ``create_package``
+and a valid full pass write it. Only ``packstore.recover`` trusts it, to skip
+the decode, and only when every stream is a blob, no blob has a reserved
+name, every blob matches its size and sha256, and the memo equals the sha256
+of the manifest bytes just read. A lost or torn memo costs one decode.
 """
 
 from __future__ import annotations
@@ -45,8 +53,11 @@ SENSORS_NAME = "sensors.jsonl"
 GPS_NAME = "gps.jsonl"
 FRAMES_NAME = "frames.jsonl"
 UPLOAD_STATE_NAME = "upload_state.json"
+MEMO_NAME = "checked.sha256"
+_MEMO_TMP = MEMO_NAME + ".tmp"
 
 STREAM_NAMES = (SENSORS_NAME, GPS_NAME, FRAMES_NAME)
+RESERVED_NAMES = frozenset({MANIFEST_NAME, UPLOAD_STATE_NAME, MEMO_NAME, _MEMO_TMP})
 
 _STREAM_TYPES = {
     SENSORS_NAME: SensorSample,
@@ -61,6 +72,20 @@ def sha256_file(path: Path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def memo_of(manifest_bytes: bytes) -> bytes:
+    """The memo's contents for a manifest whose streams passed their checks."""
+    return hashlib.sha256(manifest_bytes).hexdigest().encode() + b"\n"
+
+
+def write_memo(package_dir: Path, manifest_bytes: bytes) -> None:
+    """Replace the memo, without fsync; an OSError (a read-only mirror) is ignored."""
+    try:
+        (package_dir / _MEMO_TMP).write_bytes(memo_of(manifest_bytes))
+        os.replace(package_dir / _MEMO_TMP, package_dir / MEMO_NAME)
+    except OSError:
+        pass
 
 
 def read_manifest(package_dir: str | os.PathLike) -> PackageManifest:
@@ -172,13 +197,14 @@ def validate_package(package_dir: str | os.PathLike) -> ValidationReport:
     return load_package(package_dir)[0]
 
 
-def load_package(package_dir: str | os.PathLike):
+def load_package(package_dir: str | os.PathLike, *, _trust_memo: bool = False):
     """Validate a package and read it in the same pass.
 
     Returns ``(report, manifest, columns)``: the validate_package report,
     the parsed manifest (None when unreadable) and the ``StreamColumns``
     of ``(samples, gps, frames)`` (None unless every stream file exists
-    and decodes). Each stream is decoded once, and no records are built.
+    and decodes). Each stream is read and decoded once, and no records are
+    built. ``_trust_memo`` (for ``recover``) lets a fresh memo skip the decode.
     """
     package_dir = Path(package_dir)
     if not package_dir.is_dir():
@@ -188,35 +214,54 @@ def load_package(package_dir: str | os.PathLike):
     if not manifest_path.is_file():
         problem = f"{MANIFEST_NAME} missing"
         return ValidationReport(package_id=None, problems=[problem]), None, None
+    manifest_bytes = manifest_path.read_bytes()
     try:
-        manifest = parse_manifest(manifest_path.read_bytes())
+        manifest = parse_manifest(manifest_bytes)
     except (ParseError, ValidationError) as e:
         problem = f"{MANIFEST_NAME}: {e}"
         return ValidationReport(package_id=None, problems=[problem]), None, None
 
+    names = {blob.name for blob in manifest.blobs}
+    memo_applies = names.issuperset(STREAM_NAMES) and names.isdisjoint(RESERVED_NAMES)
+    try:
+        fresh = (package_dir / MEMO_NAME).read_bytes() == memo_of(manifest_bytes)
+    except OSError:
+        fresh = False
+    trusted = _trust_memo and memo_applies and fresh
+
     report = ValidationReport(package_id=manifest.package_id)
+    data = {}  # stream name -> its bytes, read once to hash and to decode
     for blob in manifest.blobs:
         path = package_dir / blob.name
         if not path.is_file():
             report.blobs.append(BlobCheck(blob.name, present=False))
             continue
-        size_ok = path.stat().st_size == blob.bytes
-        sha_ok = sha256_file(path) == blob.sha256
-        report.blobs.append(
-            BlobCheck(blob.name, present=True, size_ok=size_ok, sha256_ok=sha_ok)
-        )
+        if blob.name in _STREAM_TYPES and not trusted:
+            data[blob.name] = path.read_bytes()
+            size, sha = len(data[blob.name]), hashlib.sha256(data[blob.name]).hexdigest()
+        else:
+            size, sha = path.stat().st_size, sha256_file(path)
+        report.blobs.append(BlobCheck(
+            blob.name, present=True, size_ok=size == blob.bytes, sha256_ok=sha == blob.sha256,
+        ))
+    if trusted and all(b.ok for b in report.blobs):
+        report.streams = [StreamCheck(name, monotonic_ok=True) for name in STREAM_NAMES]
+        return report, manifest, None
 
     streams = []
     for name in STREAM_NAMES:
         path = package_dir / name
         if not path.is_file():
             continue  # absence already reported via the blob check
+        raw = data.pop(name) if name in data else path.read_bytes()
         try:
-            cols = decode_jsonl_columns(path.read_bytes(), _STREAM_TYPES[name], name)
+            cols = decode_jsonl_columns(raw, _STREAM_TYPES[name], name)
         except (ParseError, ValidationError) as e:
             report.streams.append(StreamCheck(name, monotonic_ok=False, detail=str(e)))
             continue
         report.streams.append(_check_monotonic(name, cols))
         streams.append(cols)
+    if report.valid and memo_applies and not fresh:
+        write_memo(package_dir, manifest_bytes)
 
     return report, manifest, tuple(streams) if len(streams) == len(STREAM_NAMES) else None

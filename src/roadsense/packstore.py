@@ -43,6 +43,7 @@ from pathlib import Path
 from .canonical import dumps_canonical
 from .errors import NetworkError, RoadsenseError, StateMachineError, ValidationError
 from .model import (
+    INT64_MAX,
     BlobEntry,
     PackageManifest,
     encode_jsonl_stream,
@@ -52,12 +53,15 @@ from .package import (
     FRAMES_NAME,
     GPS_NAME,
     MANIFEST_NAME,
+    RESERVED_NAMES,
     SENSORS_NAME,
+    STREAM_NAMES,
     UPLOAD_STATE_NAME,
     ValidationReport,
     load_package,
     sha256_file,
     validate_package,  # noqa: F401  (looked up here by callers and the benchmark tracer)
+    write_memo,
 )
 
 DEFAULT_MAX_RETRIES = 5
@@ -230,19 +234,28 @@ def create_package(
 ) -> tuple[Path, PackageManifest]:
     """Write a fresh package directory in the standard layout.
 
-    Streams must be timestamp-monotonic. ``extra_blobs`` maps relative
-    names (e.g. frame payloads) to raw bytes. On any write failure the
-    partial directory is removed.
+    Timestamps and frame indices must be strictly increasing and within
+    int64, as ``validate_package`` checks, and the package gets a fresh
+    stream-check memo. ``extra_blobs`` maps other relative names (e.g. frame
+    payloads) to raw bytes. On any write failure the partial directory is removed.
     """
-    for name, stream in ((SENSORS_NAME, samples), (GPS_NAME, gps), (FRAMES_NAME, frames)):
-        prev = None
+    # the stream checks of validate_package, so that the memo written below holds
+    for name, key, what, stream in (
+        (SENSORS_NAME, "t", "timestamps", samples), (GPS_NAME, "t", "timestamps", gps),
+        (FRAMES_NAME, "t", "timestamps", frames), (FRAMES_NAME, "index", "frame indices", frames),
+    ):
+        prev = -1
         for i, rec in enumerate(stream):
-            if prev is not None and rec.t <= prev:
-                raise ValidationError(
-                    f"{name}: timestamps must be strictly increasing (record {i})",
-                    field="t",
-                )
-            prev = rec.t
+            value = getattr(rec, key)
+            if value <= prev:
+                msg = f"{name}: {what} must be strictly increasing (record {i})"
+                raise ValidationError(msg, field=key)
+            prev = value
+        if prev > INT64_MAX:  # the column decoder refuses it
+            raise ValidationError(f"{name}: {key} beyond the int64 range", field=key)
+    clash = (RESERVED_NAMES | set(STREAM_NAMES)).intersection(extra_blobs or ())
+    if clash:
+        raise ValidationError(f"extra blobs may not be named {sorted(clash)}", field="name")
 
     pid = package_id or str(uuid.uuid4())
     uuid.UUID(pid)  # fail early on a malformed explicit id
@@ -272,8 +285,10 @@ def create_package(
             sensor_rate_hz=sensor_rate_hz,
             frame_rate_fps=frame_rate_fps,
         )
-        (package_dir / MANIFEST_NAME).write_bytes(serialize_manifest(manifest) + b"\n")
+        manifest_bytes = serialize_manifest(manifest) + b"\n"
+        (package_dir / MANIFEST_NAME).write_bytes(manifest_bytes)
         write_upload_state(package_dir, UploadState(package_id=pid))
+        write_memo(package_dir, manifest_bytes)  # the checks above passed
     except Exception:
         shutil.rmtree(package_dir, ignore_errors=True)
         raise
@@ -311,6 +326,11 @@ def recover(root: str | os.PathLike) -> LibraryIndex:
     packages are listed with their validation failure, never dropped.
     Dot-directories, such as the ``.<id>.partial`` of a pull in progress,
     are not packages and are skipped.
+
+    Every blob is hashed, but the streams are decoded only when the
+    stream-check memo is not trusted, with the same report. It is trusted
+    when every stream is a blob, no blob has a reserved name, every blob
+    matches its size and sha256, and it equals the manifest bytes' sha256.
     """
     root = Path(root)
     if not root.is_dir():
@@ -323,7 +343,7 @@ def recover(root: str | os.PathLike) -> LibraryIndex:
         error = None
         report = None
         try:
-            report, manifest = load_package(child)[:2]
+            report, manifest = load_package(child, _trust_memo=True)[:2]
             if manifest is None:
                 # the one problem is "manifest.json missing" or "manifest.json: <why>"
                 problem = report.problems[0]

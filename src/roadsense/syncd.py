@@ -30,7 +30,9 @@ Request heads: ``SyncHandler.parse_request`` keeps the stdlib's
 request-line rules and replies (400 for bad syntax or an unreadable
 version, 505 for HTTP/2 and later, HTTP/0.9 GETs, ``//`` collapsed to
 ``/``) and reads the header lines itself with ``read_fields``, which the
-client uses for reply heads too. The rules:
+client uses for reply heads too. Unlike the stdlib, it starts every refusal
+with a status line, also when the request line reads as HTTP/0.9. The
+header rules:
 
 - the limits are the stdlib's: a line over 65,536 bytes gets 431 "Line too
   long", and more than 100 lines with the blank one that ends the head get
@@ -513,6 +515,12 @@ def _make_handler(registry: Registry, hub: EventHub, stopping: threading.Event, 
             if log.isEnabledFor(logging.DEBUG):
                 log.debug("%s %s", self.address_string(), fmt % args)
 
+        def _refuse(self, code: int, message: str, explain: str | None = None) -> bool:
+            # send_error writes no status line while request_version reads HTTP/0.9
+            self.request_version = self.protocol_version
+            self.send_error(code, message, explain)
+            return False
+
         def parse_request(self) -> bool:
             """The stdlib's request-line rules and replies, then the head
             through ``read_fields``; see the module docstring."""
@@ -535,31 +543,26 @@ def _make_handler(registry: Registry, hub: EventHub, stopping: threading.Event, 
                         raise ValueError
                     number = int(parts[0]), int(parts[1])
                 except (ValueError, IndexError):
-                    self.send_error(400, f"Bad request version ({version!r})")
-                    return False
+                    return self._refuse(400, f"Bad request version ({version!r})")
                 if number >= (1, 1):
                     self.close_connection = False
                 if number >= (2, 0):
-                    self.send_error(505, f"Invalid HTTP version ({base_version})")
-                    return False
+                    return self._refuse(505, f"Invalid HTTP version ({base_version})")
                 self.request_version = version
             if not 2 <= len(words) <= 3:
-                self.send_error(400, f"Bad request syntax ({requestline!r})")
-                return False
+                return self._refuse(400, f"Bad request syntax ({requestline!r})")
             command, path = words[:2]
             if len(words) == 2:  # HTTP/0.9
                 self.close_connection = True
                 if command != "GET":
-                    self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
-                    return False
+                    return self._refuse(400, f"Bad HTTP/0.9 request type ({command!r})")
             if path.startswith("//"):  # no open redirect through "//host/path"
                 path = "/" + path.lstrip("/")
             self.command, self.path = command, path
             try:
                 self.headers = read_fields(self.rfile)
             except HeadError as e:
-                self.send_error(e.status, e.reason, str(e))
-                return False
+                return self._refuse(e.status, e.reason, str(e))
             conntype = self.headers.get("connection", "").lower()
             if conntype == "close":
                 self.close_connection = True

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import traceback
 
 import pytest
 
+from roadsense import package
 from roadsense.model import FrameRef, GpsFix, SensorSample
 from roadsense.syncd import SyncServer
 
@@ -30,6 +33,30 @@ def make_frames(n: int, fps: int = 10):
         FrameRef(t=round(j * 1000 / fps), index=j, file=f"frames/{j:06d}.jpg")
         for j in range(n)
     ]
+
+
+def resign_manifest(pkg_dir) -> None:
+    """Rewrite the manifest's blob sizes and digests from the files on disk."""
+    path = pkg_dir / package.MANIFEST_NAME
+    doc = json.loads(path.read_bytes())
+    for entry in doc["blobs"]:
+        data = (pkg_dir / entry["name"]).read_bytes()
+        entry["bytes"], entry["sha256"] = len(data), hashlib.sha256(data).hexdigest()
+    path.write_text(json.dumps(doc))
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """The stream name of every column decode ``load_package`` makes."""
+    names = []
+    real = package.decode_jsonl_columns
+
+    def counting(data, record_cls, stream_name):
+        names.append(stream_name)
+        return real(data, record_cls, stream_name)
+
+    monkeypatch.setattr(package, "decode_jsonl_columns", counting)
+    return names
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
 """Package directory layout: write, read back, corrupt-and-detect."""
 
+import errno
 import hashlib
 import json
+import os
 import re
 import tempfile
 
@@ -9,18 +11,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_frames, make_gps, make_samples
+from conftest import make_frames, make_gps, make_samples, resign_manifest
 from test_model import LINE_MUTATIONS
+from roadsense import cli
 from roadsense.errors import ParseError, ValidationError
 from roadsense.model import FrameRef, GpsFix, SensorSample, decode_jsonl_stream, parse_manifest
 from roadsense.package import (
     FRAMES_NAME,
     GPS_NAME,
     MANIFEST_NAME,
+    MEMO_NAME,
     SENSORS_NAME,
+    STREAM_NAMES,
+    UPLOAD_STATE_NAME,
     BlobCheck,
     StreamCheck,
     ValidationReport,
+    load_package,
+    memo_of,
     read_manifest,
     read_stream,
     read_streams,
@@ -148,6 +156,30 @@ def test_create_rejects_non_monotonic_streams(tmp_path):
             device_id="d", started_at_ms=0, ended_at_ms=1,
         )
     assert list(tmp_path.iterdir()) == []  # nothing half-written
+
+
+def test_create_rejects_a_frame_index_that_is_not_increasing(tmp_path):
+    frames = [FrameRef(0, 1, "frames/a.jpg"), FrameRef(100, 1, "frames/b.jpg")]
+    with pytest.raises(ValidationError, match=re.escape(
+        f"{FRAMES_NAME}: frame indices must be strictly increasing (record 1)"
+    )):
+        create_package(tmp_path, [], [], frames, device_id="d", started_at_ms=0, ended_at_ms=1)
+    assert list(tmp_path.iterdir()) == []  # nothing half-written
+
+
+def test_create_rejects_a_timestamp_beyond_int64(tmp_path):
+    samples = make_samples(2) + [SensorSample(t=2**63, ax=0, ay=0, az=9.81, gx=0, gy=0, gz=0)]
+    with pytest.raises(ValidationError, match="t beyond the int64 range"):
+        create_package(tmp_path, samples, [], [], device_id="d", started_at_ms=0, ended_at_ms=1)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", [SENSORS_NAME, MANIFEST_NAME, UPLOAD_STATE_NAME, MEMO_NAME])
+def test_create_rejects_an_extra_blob_named_like_a_package_file(tmp_path, name):
+    with pytest.raises(ValidationError, match="extra blobs may not be named"):
+        create_package(tmp_path, make_samples(2), [], [], device_id="d", started_at_ms=0,
+                       ended_at_ms=1, extra_blobs={name: b"x"})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_create_cleans_up_on_failure(tmp_path):
@@ -315,3 +347,164 @@ def test_a_timestamp_beyond_int64_fails_its_stream_check(tmp_path):
     stream = [s for s in report.streams if s.name == SENSORS_NAME][0]
     assert not stream.ok
     assert stream.detail == f"{SENSORS_NAME}: t beyond the int64 range at line {len(lines)}"
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+gps_extra = st.none() | st.floats(min_value=0, allow_infinity=False)
+path_part = st.text(min_size=1, max_size=4).filter(lambda p: "/" not in p and "\\" not in p
+                                                   and p not in (".", ".."))
+frame_file = st.lists(path_part, min_size=1, max_size=2).map("/".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_package_create_package_accepts_passes_a_full_validation(data):
+    draw = data.draw
+
+    def times(n):
+        # strictly increasing in three draws of four, as a recorder writes them,
+        # and at int64's edge in one of eight
+        edge = draw(st.integers(0, 7)) == 0
+        ints = st.integers(2**63 - 2, 2**63 + 1) if edge else st.integers(0, 10**6)
+        if draw(st.integers(0, 3)):
+            return sorted(draw(st.lists(ints, min_size=n, max_size=n, unique=True)))
+        return draw(st.lists(ints, min_size=n, max_size=n))
+
+    samples = [
+        SensorSample(t, *draw(st.tuples(*[finite] * 6))) for t in times(draw(st.integers(0, 4)))
+    ]
+    gps = [
+        GpsFix(t, draw(st.floats(-90, 90)), draw(st.floats(-180, 180)), draw(finite),
+               draw(gps_extra), draw(gps_extra))
+        for t in times(draw(st.integers(0, 4)))
+    ]
+    n = draw(st.integers(0, 4))
+    frames = [FrameRef(t, i, draw(frame_file)) for t, i in zip(times(n), times(n))]
+    names = st.sampled_from(["frames/000000.jpg", "notes.txt", MEMO_NAME, GPS_NAME, MANIFEST_NAME])
+    extra = draw(st.dictionaries(names, st.binary(max_size=8), max_size=2))
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            pkg_dir, _ = create_package(tmp, samples, gps, frames, device_id="d",
+                                        started_at_ms=0, ended_at_ms=1, extra_blobs=extra)
+        except ValidationError:
+            assert os.listdir(tmp) == []
+            return
+        report = validate_package(pkg_dir)
+        assert report.valid, report.summary_lines()
+        assert (pkg_dir / MEMO_NAME).read_bytes() == memo_of((pkg_dir / MANIFEST_NAME).read_bytes())
+        assert load_package(pkg_dir, _trust_memo=True)[0].summary_lines() == report.summary_lines()
+
+
+# -- the stream-check memo -------------------------------------------------------
+
+
+def test_create_package_writes_a_fresh_memo(tmp_path):
+    pkg_dir, manifest = write_pkg(tmp_path)
+    digest = hashlib.sha256((pkg_dir / MANIFEST_NAME).read_bytes()).hexdigest()
+    assert (pkg_dir / MEMO_NAME).read_bytes() == digest.encode() + b"\n"
+    assert MEMO_NAME not in {b.name for b in manifest.blobs}  # never uploaded
+
+
+def test_a_fresh_memo_skips_the_decode_only_where_trusted(tmp_path, decodes):
+    pkg_dir, _ = write_pkg(tmp_path)
+    full, _, columns = load_package(pkg_dir)
+    assert decodes == list(STREAM_NAMES) and columns is not None
+    decodes.clear()
+    trusted, manifest, columns = load_package(pkg_dir, _trust_memo=True)
+    assert decodes == [] and columns is None and manifest == read_manifest(pkg_dir)
+    assert trusted.streams == [StreamCheck(name, monotonic_ok=True) for name in STREAM_NAMES]
+    assert trusted.valid and trusted.summary_lines() == full.summary_lines()
+
+
+MEMO_DAMAGE = {
+    "missing": lambda memo, other: memo.unlink(),
+    "torn": lambda memo, other: memo.write_bytes(memo.read_bytes()[:20]),
+    "empty": lambda memo, other: memo.write_bytes(b""),
+    "made for another manifest": lambda memo, other: memo.write_bytes(other),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(MEMO_DAMAGE))
+def test_a_memo_that_is_not_fresh_means_a_full_decode(tmp_path, decodes, damage):
+    pkg_dir, _ = write_pkg(tmp_path / "a")
+    other_dir, _ = write_pkg(tmp_path / "b")
+    want = validate_package(pkg_dir).summary_lines()
+    MEMO_DAMAGE[damage](pkg_dir / MEMO_NAME, (other_dir / MEMO_NAME).read_bytes())
+    decodes.clear()
+    report = load_package(pkg_dir, _trust_memo=True)[0]
+    assert decodes == list(STREAM_NAMES)
+    assert report.valid and report.summary_lines() == want
+    # that valid pass wrote the memo again, so the next one skips the decode
+    decodes.clear()
+    assert load_package(pkg_dir, _trust_memo=True)[0].summary_lines() == want
+    assert decodes == []
+
+
+def test_a_full_pass_writes_the_memo_only_when_missing_or_stale(tmp_path, monkeypatch):
+    pkg_dir, _ = write_pkg(tmp_path)
+    memo = pkg_dir / MEMO_NAME
+    written = memo.stat().st_mtime_ns
+    for _ in range(2):
+        assert validate_package(pkg_dir).valid
+    assert memo.stat().st_mtime_ns == written
+    memo.write_bytes(b"stale\n")
+    assert validate_package(pkg_dir).valid
+    assert memo.read_bytes() == memo_of((pkg_dir / MANIFEST_NAME).read_bytes())
+
+
+def test_an_invalid_package_gets_no_memo(tmp_path):
+    pkg_dir, _ = write_pkg(tmp_path)
+    (pkg_dir / MEMO_NAME).unlink()
+    path = pkg_dir / SENSORS_NAME
+    path.write_bytes(path.read_bytes()[:-5])
+    assert not validate_package(pkg_dir).valid
+    assert not (pkg_dir / MEMO_NAME).exists()
+
+
+@pytest.mark.parametrize("change", ["no frames blob", MEMO_NAME, MEMO_NAME + ".tmp"])
+def test_a_memo_is_never_trusted_for_an_odd_manifest(tmp_path, decodes, change):
+    """A manifest without a stream blob, or with a blob named like the memo
+    or its temp file, is always decoded, and such a blob is never overwritten."""
+    pkg_dir, _ = write_pkg(tmp_path)
+    doc = json.loads((pkg_dir / MANIFEST_NAME).read_bytes())
+    if change == "no frames blob":
+        doc["blobs"] = [entry for entry in doc["blobs"] if entry["name"] != FRAMES_NAME]
+    else:
+        (pkg_dir / change).write_bytes(b"a blob\n")
+        doc["blobs"].append({"name": change, "bytes": 0, "sha256": "0" * 64})
+    (pkg_dir / MANIFEST_NAME).write_text(json.dumps(doc))
+    resign_manifest(pkg_dir)
+    if change == "no frames blob":
+        (pkg_dir / MEMO_NAME).write_bytes(memo_of((pkg_dir / MANIFEST_NAME).read_bytes()))
+    for _ in range(2):
+        report = load_package(pkg_dir, _trust_memo=True)[0]
+        assert report.valid and decodes == list(STREAM_NAMES)
+        decodes.clear()
+    if change != "no frames blob":
+        assert (pkg_dir / change).read_bytes() == b"a blob\n"
+
+
+def test_validate_works_on_a_read_only_package(tmp_path, monkeypatch):
+    pkg_dir, _ = write_pkg(tmp_path)
+    want = validate_package(pkg_dir).summary_lines()
+    (pkg_dir / MEMO_NAME).unlink()
+
+    def read_only(*args, **kwargs):
+        raise OSError(errno.EROFS, "Read-only file system")
+
+    # a mode bit does not stop root, so the rename fails too, as on a read-only mount
+    monkeypatch.setattr(os, "replace", read_only)
+    pkg_dir.chmod(0o555)
+    try:
+        for report in (validate_package(pkg_dir), load_package(pkg_dir, _trust_memo=True)[0]):
+            assert report.valid and report.summary_lines() == want
+    finally:
+        pkg_dir.chmod(0o755)
+    assert not (pkg_dir / MEMO_NAME).exists()
+
+
+def test_roadsense_validate_decodes_even_with_a_fresh_memo(tmp_path, decodes, capsys):
+    pkg_dir, manifest = write_pkg(tmp_path)
+    assert cli.main(["validate", "--package", str(pkg_dir)]) == 0
+    assert decodes == list(STREAM_NAMES)
+    assert capsys.readouterr().out == f"{manifest.package_id}: valid\n"

@@ -4,7 +4,7 @@ import math
 from itertools import product
 
 import pytest
-from conftest import make_frames, make_gps, make_samples
+from conftest import make_frames, make_gps, make_samples, resign_manifest
 from fakes import DroppyService, FakeSyncService, Killed, KillSwitch
 
 from roadsense import model, package, packstore
@@ -200,6 +200,48 @@ def test_recover_reports_missing_and_unreadable_manifests(tmp_path):
     assert index.entries[missing_dir.name].error == "manifest.json missing"
     assert index.entries[broken_dir.name].error == f"manifest unreadable: {why}"
     assert not any(e.ok for e in index)
+
+
+def test_recover_reports_the_same_with_and_without_the_memo(tmp_path, decodes):
+    dirs = [build_package(tmp_path)[0] for _ in range(3)]
+    with_memo = {pid: e.report.summary_lines() for pid, e in recover(tmp_path).entries.items()}
+    assert decodes == []
+    for d in dirs:
+        (d / package.MEMO_NAME).unlink()
+    without = {pid: e.report.summary_lines() for pid, e in recover(tmp_path).entries.items()}
+    assert len(decodes) == 3 * len(package.STREAM_NAMES)
+    assert with_memo == without == {
+        d.name: package.validate_package(d).summary_lines() for d in dirs
+    }
+    assert all((d / package.MEMO_NAME).is_file() for d in dirs)  # written again
+
+
+def test_recover_decodes_a_stream_edited_out_of_order(tmp_path, decodes):
+    pkg_dir, manifest = build_package(tmp_path)
+    samples = make_samples(6)
+    samples[2], samples[4] = samples[4], samples[2]
+    (pkg_dir / "sensors.jsonl").write_bytes(model.encode_jsonl_stream(samples))
+    resign_manifest(pkg_dir)  # the digests match; only the order is wrong
+    entry = recover(tmp_path).entries[manifest.package_id]
+    assert decodes == list(package.STREAM_NAMES)
+    assert not entry.ok
+    assert "stream sensors.jsonl: timestamp not strictly increasing at record 3" in entry.error
+    assert entry.report.summary_lines() == package.validate_package(pkg_dir).summary_lines()
+
+
+@pytest.mark.parametrize("at, error", [
+    (-3, "blob gps.jsonl: sha256 mismatch"),  # in a digit: still a valid stream
+    (0, "blob gps.jsonl: sha256 mismatch; stream gps.jsonl: "),  # "{" becomes "z"
+])
+def test_recover_hashes_every_blob_despite_a_fresh_memo(tmp_path, at, error):
+    pkg_dir, manifest = build_package(tmp_path)
+    blob = pkg_dir / "gps.jsonl"
+    data = bytearray(blob.read_bytes())
+    data[at] ^= 0x01
+    blob.write_bytes(bytes(data))
+    entry = recover(tmp_path).entries[manifest.package_id]
+    assert not entry.ok and entry.error.startswith(error)
+    assert entry.report.summary_lines() == package.validate_package(pkg_dir).summary_lines()
 
 
 def test_recover_missing_root(tmp_path):

@@ -610,6 +610,11 @@ def test_a_malformed_header_line_gets_400_and_the_connection_ends(server, bad_li
     assert head_reply(server, request) == (b"HTTP/1.1 400 Bad header line", True)
 
 
+def test_a_malformed_header_line_after_an_http09_request_line_gets_a_status_line(server):
+    reply, closed = reply_and_fate(server, b"GET /v1/packages\r\nContent-Length 2\r\n\r\n")
+    assert reply.startswith(b"HTTP/1.1 400 Bad header line\r\n") and closed
+
+
 def test_a_duplicated_content_length_keeps_its_first_value(server):
     manifest, payloads = wire_package()
     with SyncClient(server.base_url) as client:
@@ -647,12 +652,14 @@ def test_header_names_are_case_insensitive_and_values_lose_blanks(server):
      b"HTTP/1.1 400 Bad request syntax ('GET /v1 packages HTTP/1.1')"),
     (b"DELETE /v1/packages HTTP/1.1", b"HTTP/1.1 501 Unsupported method ('DELETE')"),
     (b"GET //v1/packages HTTP/1.0", b"HTTP/1.1 200 OK"),  # "//" collapses to "/"
-    # a version that cannot be read is answered as HTTP/0.9: the error page
-    # without a status line, as the stdlib's parse_request does
-    (b"GET /v1/packages HTTP/2.0", b"<!DOCTYPE HTML>"),
-    (b"GET /v1/packages HTTP/1", b"<!DOCTYPE HTML>"),
-    (b"GET /v1/packages FTP/1.1", b"<!DOCTYPE HTML>"),
-    (b"POST /v1/packages", b"<!DOCTYPE HTML>"),
+    # the stdlib answers these as HTTP/0.9, with no status line; syncd
+    # starts every refusal with one
+    (b"GET /v1/packages HTTP/2.0", b"HTTP/1.1 505 Invalid HTTP version (2.0)"),
+    (b"GET /v1/packages HTTP/1", b"HTTP/1.1 400 Bad request version ('HTTP/1')"),
+    (b"GET /v1/packages FTP/1.1", b"HTTP/1.1 400 Bad request version ('FTP/1.1')"),
+    (b"POST /v1/packages", b"HTTP/1.1 400 Bad HTTP/0.9 request type ('POST')"),
+    (b"GET", b"HTTP/1.1 400 Bad request syntax ('GET')"),
+    (b"GET /v1/packages", b"[]\n"),  # a valid HTTP/0.9 request: the body alone
 ])
 def test_request_lines_follow_the_stdlib_rules(server, request_line, start):
     reply, closed = reply_and_fate(server, request_line + b"\r\nHost: t\r\n\r\n")
@@ -661,12 +668,15 @@ def test_request_lines_follow_the_stdlib_rules(server, request_line, start):
         b"HTTP/2.0": b"<p>Error code: 505</p>\n        <p>Message: Invalid HTTP version (2.0).",
         b"HTTP/1": b"<p>Error code: 400</p>\n        <p>Message: Bad request version ('HTTP/1').",
         b"FTP/1.1": b"<p>Error code: 400</p>\n        <p>Message: Bad request version ('FTP/1.1').",
-        b"/v1/packages": b"<p>Message: Bad HTTP/0.9 request type ('POST').",
+        b"POST /v1/packages": b"<p>Message: Bad HTTP/0.9 request type ('POST').",
     }
-    if start == b"<!DOCTYPE HTML>":
-        assert messages[request_line.rsplit(b" ", 1)[1]] in reply
+    for key, message in messages.items():
+        if request_line.endswith(key):
+            assert message in reply
     if start == b"HTTP/1.1 200 OK":
         assert reply.endswith(b"\r\n\r\n[]\n")
+    if start == b"[]\n":
+        assert reply == start
 
 
 def test_expect_100_continue_gets_an_interim_reply(server):
