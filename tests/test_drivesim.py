@@ -1,5 +1,6 @@
 """Drive simulator: determinism, signal morphology, scoring, chaos replay."""
 
+import hashlib
 import json
 import uuid
 
@@ -63,6 +64,57 @@ def test_write_package_is_byte_identical_across_roots(tmp_path):
     for blob in manifest_a.blobs:
         assert (dir_a / blob.name).read_bytes() == (dir_b / blob.name).read_bytes()
     assert (dir_a / "manifest.json").read_bytes() == (dir_b / "manifest.json").read_bytes()
+
+
+# sha256 of manifest.json, which holds every blob's size and sha256, so each
+# digest pins every stream byte of the package
+_SEED_MANIFEST_SHA256 = [
+    "a860bb1232dc3f5548b9dd779a2df875ecd73f6e2ad82194ae77140cbcf7d0aa",  # seed 0
+    "2e9285200c508306295a233c4c46d67b82e5ac4be1f131fd63616e1164dccf79",  # seed 1
+    "2548be00ba1775271d877de8b8585f76596014ef6b62a4810b87ec791706d6f2",  # seed 2
+    "28b1f3de4dd1adaa6bae80d78e4e6c187c1804db4ffe8d6d58a80c883d5adcd2",  # seed 3
+    "b44df5caa04d920f8f2fa1a57f94c6fe73321667c38b3646c93f8839f79190fe",  # seed 4
+    "1df836d47ac8e598c0e42d053cc17202481d9373b9a2fc6a3b71d451debd99ad",  # seed 5
+    "a55adb985f974afdebf53d1a7dd06bcd0f57de3edc017517ecf30a49943262fc",  # seed 6
+    "ad9347ce323c7b782ba1516cac5f94e30ec50b6dd64ef7cd77a839f17235e5e0",  # seed 7
+    "4de8aae45eea30e5ebe6077fd953293e25e8aaf325ef9d22ec34c96a5348d9ef",  # seed 8
+    "4b9f460e3d2891a2e2910711fff5f3c6fe423ea642c1ea2a4c3fde9f74fbb602",  # seed 9
+    "531fa398304bf33a941a345298cc205e26f3823d314f0f24d5065f1cc058de89",  # seed 10
+    "188d633fd3a5bf90d82b073db861b35e1d5300412bd04c0ef4e786d3ba380022",  # seed 11
+    "771e7f22649411a2f8b721af1a9ec7033e31267d1da97b881fc4a28e3e48d716",  # seed 12
+    "3635c04d3b10f12a276543fa1dabe4c778c0df5de8220fb9bb26d8a443a89084",  # seed 13
+    "271068d591fda0259cc7dacfc196006840bc08cf3d73718cdb289e4dd59388a9",  # seed 14
+    "55af9356e58c4923dca97ee611f5679cb8d19a12fcefea208f1506f75e42f581",  # seed 15
+    "75ec10c81dbba39fc2531ce4f091b9396f6393dd271d4fe29e7ee989d433461f",  # seed 16
+    "8c36b755a11c8e4bfaa61df30cf5b14a8dbac8f178c785a45ad84477eddc2626",  # seed 17
+    "284b7d766f9e3ead04ccf3f9a8fe8a4e948c19e05640d69b53924d9e320848a5",  # seed 18
+    "a3fe5cb9415f6818075ffbbbdc5d29f51919565f2e8b6822bf6b8abf59d20aaf",  # seed 19
+    "71f1b3ed44674766a8a5a4640d63446442978c6f74a7bac946d1b9994dfe899e",  # seed 20
+]
+_VARIANT_MANIFEST_SHA256 = {
+    # frame payloads as extra blobs
+    "frames": (dict(seed=21, duration_s=20.0, frame_bytes=256),
+               "37407d265888ab8fda35d1fcdce179b7652b13024938bc7c3ba7e35926e4d5af"),
+    # no GPS noise, so no fix has h_acc_m
+    "no_h_acc": (dict(seed=22, gps_noise_m=0.0),
+                 "e154b91f80a80e2a7bc1f8040b14804077bdafb791e9f9c5718e7ea181c4845a"),
+}
+
+
+def _manifest_sha256(scenario, root):
+    pkg_dir = write_package(scenario, root)[0]
+    return hashlib.sha256((pkg_dir / "manifest.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_default_scenario_packages_are_pinned(tmp_path, seed):
+    assert _manifest_sha256(default_scenario(seed), tmp_path) == _SEED_MANIFEST_SHA256[seed]
+
+
+@pytest.mark.parametrize("name", sorted(_VARIANT_MANIFEST_SHA256))
+def test_variant_scenario_packages_are_pinned(tmp_path, name):
+    kw, digest = _VARIANT_MANIFEST_SHA256[name]
+    assert _manifest_sha256(default_scenario(**kw), tmp_path) == digest
 
 
 def test_different_seeds_differ():
