@@ -19,18 +19,3 @@ def dumps_canonical(obj) -> bytes:
         ensure_ascii=False,
         allow_nan=False,
     ).encode("utf-8")
-
-
-def dumps_jsonl_line(obj) -> bytes:
-    """Serialize one JSONL record, keeping the caller's key order.
-
-    Stream records have a documented field order (``t`` first), so keys are
-    not sorted here; dict insertion order is the wire order.
-    """
-    return json.dumps(
-        obj,
-        sort_keys=False,
-        separators=(",", ":"),
-        ensure_ascii=False,
-        allow_nan=False,
-    ).encode("utf-8")

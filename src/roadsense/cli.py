@@ -22,8 +22,8 @@ from .canonical import dumps_canonical
 from .config import Config, load_config
 from .drivesim import NetworkProfile, Scenario, default_scenario, replay_upload, write_package
 from .errors import NetworkError, ParseError, StateMachineError, ValidationError
-from .model import parse_manifest
-from .package import read_manifest, read_stream, validate_package
+from .model import columns_from_records, encode_jsonl_columns, parse_manifest
+from .package import _STREAM_TYPES, _check_monotonic, read_manifest, read_stream, validate_package
 from .packstore import (
     ServerRejected,
     Uploader,
@@ -200,17 +200,22 @@ def cmd_pull(args) -> int:
 
 
 def cmd_query(args) -> int:
-    records = read_stream(args.package, f"{args.stream}.jsonl")
+    name = f"{args.stream}.jsonl"
+    record_cls = _STREAM_TYPES[name]
+    records = read_stream(args.package, name)
+    # an out-of-order stream is a validation failure, as validate reports it
+    check = _check_monotonic(name, columns_from_records(records, record_cls))
+    if not check.ok:
+        raise ValidationError(f"{name}: {check.detail}")
     index = TimeIndex(records)
     if args.at is not None:
         tol = args.tol if args.tol is not None else _UNBOUNDED_TOL
         hit = index.nearest(args.at, tol)
-        if hit is not None:
-            sys.stdout.buffer.write(hit.to_jsonl() + b"\n")
+        hits = [] if hit is None else [hit]
     else:
         t0, t1 = args.range
-        for rec in index.range(t0, t1):
-            sys.stdout.buffer.write(rec.to_jsonl() + b"\n")
+        hits = index.range(t0, t1)
+    sys.stdout.buffer.write(encode_jsonl_columns(columns_from_records(hits, record_cls), record_cls))
     sys.stdout.buffer.flush()
     return EXIT_OK
 

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import NetworkError, ValidationError
 from .geo import EARTH_RADIUS_M, Polyline
 from .kinematics import DriveEvent, EventKind
-from .model import FrameRef, GpsFix, PackageManifest, SensorSample
+from .model import PackageManifest, StreamColumns
 from .package import read_manifest
 from .packstore import ServerRejected, Uploader, UploadState, create_package
 from .syncd import OFFSET_HEADER
@@ -321,9 +321,9 @@ class GroundTruth:
 @dataclass(frozen=True)
 class SimResult:
     scenario: Scenario
-    samples: tuple
-    gps: tuple
-    frames: tuple
+    samples: StreamColumns
+    gps: StreamColumns
+    frames: StreamColumns
     truth: GroundTruth
 
 
@@ -358,7 +358,8 @@ def _stop_factor(ev: SimEvent, t_s: np.ndarray) -> np.ndarray:
 
 
 def generate_drive(scenario: Scenario) -> SimResult:
-    """Produce package streams plus the ground truth of what was injected.
+    """Produce package streams, as ``StreamColumns`` built from the
+    generator's arrays, plus the ground truth of what was injected.
 
     Deterministic for a given scenario: one seeded generator, fixed draw
     order (channel noise, per-event signs, patch vibration, GPS noise).
@@ -436,48 +437,39 @@ def generate_drive(scenario: Scenario) -> SimResult:
         for p in scenario.rough_patches
     )
 
-    samples = tuple(
-        SensorSample(
-            t=int(t_ms[i]),
-            ax=float(signal["ax"][i]),
-            ay=float(signal["ay"][i]),
-            az=float(signal["az"][i]),
-            gx=float(signal["gx"][i]),
-            gy=float(signal["gy"][i]),
-            gz=float(signal["gz"][i]),
-        )
-        for i in range(n)
-    )
+    samples = StreamColumns({"t": t_ms, **signal})
 
     gps_t = _tick_grid(scenario.duration_s, scenario.gps_rate_hz)
     gps_noise = rng.standard_normal((len(gps_t), 2)) * scenario.gps_noise_m
-    fixes = []
-    for k, tk in enumerate(gps_t):
-        ck = float(np.interp(tk, t_ms, chain))
+    m = len(gps_t)
+    lats, lons = np.empty(m), np.empty(m)
+    for k, ck in enumerate(np.interp(gps_t, t_ms, chain).tolist()):
         lat, lon = scenario.route.point_at(ck)
-        dlat = gps_noise[k, 0] / _M_PER_DEG
-        dlon = gps_noise[k, 1] / (_M_PER_DEG * math.cos(math.radians(lat)))
-        fixes.append(
-            GpsFix(
-                t=int(tk),
-                lat=lat + dlat,
-                lon=lon + dlon,
-                alt_m=200.0,
-                speed_mps=float(np.interp(tk, t_ms, v)),
-                h_acc_m=scenario.gps_noise_m if scenario.gps_noise_m > 0 else None,
-            )
-        )
+        lats[k] = lat + gps_noise[k, 0] / _M_PER_DEG
+        lons[k] = lon + gps_noise[k, 1] / (_M_PER_DEG * math.cos(math.radians(lat)))
+    has_h_acc = scenario.gps_noise_m > 0
+    gps = StreamColumns({
+        "t": gps_t,
+        "lat": lats,
+        "lon": lons,
+        "alt_m": np.full(m, 200.0),
+        "speed_mps": np.interp(gps_t, t_ms, v),
+        "has_speed_mps": np.ones(m, dtype=bool),
+        "h_acc_m": np.full(m, scenario.gps_noise_m if has_h_acc else math.nan, dtype=np.float64),
+        "has_h_acc_m": np.full(m, has_h_acc),
+    })
 
     frame_t = _tick_grid(scenario.duration_s, scenario.frame_rate_fps)
-    frames = tuple(
-        FrameRef(t=int(tj), index=j, file=f"frames/{j:06d}.jpg")
-        for j, tj in enumerate(frame_t)
-    )
+    frames = StreamColumns({
+        "t": frame_t,
+        "index": np.arange(len(frame_t), dtype=np.int64),
+        "file": [f"frames/{j:06d}.jpg" for j in range(len(frame_t))],
+    })
 
     return SimResult(
         scenario=scenario,
         samples=samples,
-        gps=tuple(fixes),
+        gps=gps,
         frames=frames,
         truth=GroundTruth(events=tuple(truth_events), patches=truth_patches),
     )
@@ -493,9 +485,7 @@ def write_package(scenario: Scenario, library_root: str | Path) -> tuple[Path, P
     extra = None
     if scenario.frame_bytes > 0:
         frame_rng = np.random.Generator(np.random.PCG64(scenario.seed ^ 0xF4A3E5))
-        extra = {
-            ref.file: frame_rng.bytes(scenario.frame_bytes) for ref in sim.frames
-        }
+        extra = {file: frame_rng.bytes(scenario.frame_bytes) for file in sim.frames["file"]}
     path, manifest = create_package(
         library_root,
         sim.samples,

@@ -7,14 +7,15 @@ lives only in the manifest. Units are SI throughout: m/s² for
 acceleration, rad/s for angular rate, meters and m/s for GPS.
 
 A stream has two decoded forms. ``decode_jsonl_columns`` gives
-``StreamColumns``, one numpy array per field; validation and the whole
-analysis core (``timeline.align_streams``, ``kinematics``, ``report``)
-work on these only. ``decode_jsonl_stream`` gives a list of records
-(``SensorSample``, ``GpsFix``, ``FrameRef``), the API at the edges:
-``package.read_stream`` and the ``query`` command, ``TimeIndex``,
-``packstore.create_package`` and the simulator; it is also the error
-oracle of the column decoder. Both accept and reject the same bytes,
-except that the columns also refuse an integer beyond int64.
+``StreamColumns``, one numpy array per field, and ``encode_jsonl_columns``
+writes them back; the simulator, ``packstore.create_package``, validation
+and the whole analysis core (``timeline.align_streams``, ``kinematics``,
+``report``) work on these only. ``decode_jsonl_stream`` gives a list of
+records (``SensorSample``, ``GpsFix``, ``FrameRef``), which remain only
+in the public ``package.read_stream(s)`` API and ``TimeIndex`` (so in
+the ``query`` command); the record decoder is also the error oracle of
+the column decoder. Both accept and reject the same bytes, except that
+the columns also refuse an integer beyond int64.
 
 The records are immutable values whose invariants are checked at
 construction, and they are the one statement of those invariants: the
@@ -30,10 +31,11 @@ import math
 import re
 import uuid
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 
 import numpy as np
 
-from .canonical import dumps_canonical, dumps_jsonl_line
+from .canonical import dumps_canonical
 from .errors import ParseError, UnsupportedVersionError, ValidationError
 
 SCHEMA_VERSION = 1
@@ -72,19 +74,6 @@ class SensorSample:
         _require_session_ms("t", self.t)
         for name in ("ax", "ay", "az", "gx", "gy", "gz"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-
-    def to_jsonl(self) -> bytes:
-        return dumps_jsonl_line(
-            {
-                "t": self.t,
-                "ax": self.ax,
-                "ay": self.ay,
-                "az": self.az,
-                "gx": self.gx,
-                "gy": self.gy,
-                "gz": self.gz,
-            }
-        )
 
     @classmethod
     def from_dict(cls, d: dict) -> "SensorSample":
@@ -138,14 +127,6 @@ class GpsFix:
                 raise ValidationError(f"h_acc_m must be >= 0, got {v}", field="h_acc_m")
             object.__setattr__(self, "h_acc_m", v)
 
-    def to_jsonl(self) -> bytes:
-        d = {"t": self.t, "lat": self.lat, "lon": self.lon, "alt_m": self.alt_m}
-        if self.speed_mps is not None:
-            d["speed_mps"] = self.speed_mps
-        if self.h_acc_m is not None:
-            d["h_acc_m"] = self.h_acc_m
-        return dumps_jsonl_line(d)
-
     @classmethod
     def from_dict(cls, d: dict) -> "GpsFix":
         try:
@@ -179,9 +160,6 @@ class FrameRef:
         if not isinstance(self.index, int) or isinstance(self.index, bool) or self.index < 0:
             raise ValidationError(f"frame index must be >= 0, got {self.index!r}", field="index")
         _check_relative_path("file", self.file)
-
-    def to_jsonl(self) -> bytes:
-        return dumps_jsonl_line({"t": self.t, "index": self.index, "file": self.file})
 
     @classmethod
     def from_dict(cls, d: dict) -> "FrameRef":
@@ -391,11 +369,6 @@ def decode_jsonl_stream(data: bytes, record_cls, stream_name: str):
     return records
 
 
-def encode_jsonl_stream(records) -> bytes:
-    """Encode records (anything with ``to_jsonl``) as LF-terminated JSONL."""
-    return b"".join(r.to_jsonl() + b"\n" for r in records)
-
-
 class StreamColumns:
     """One decoded stream as numpy columns, one per record field.
 
@@ -454,6 +427,20 @@ def _put_column(cols: dict, name: str, kind: str, values: list) -> None:
     else:
         cols[name] = np.array([math.nan if v is None else v for v in values], dtype=np.float64)
         cols["has_" + name] = np.array([v is not None for v in values], dtype=bool)
+
+
+def _shaped_columns(cols: dict, record_cls) -> bool:
+    """Whether *cols* has the fields, types and one length that
+    ``decode_jsonl_columns`` gives a stream of *record_cls*; the type of
+    a list's items is left to ``_valid_columns``."""
+    empty = columns_from_records((), record_cls).fields
+    if set(cols) != set(empty):
+        return False
+    for name, e in empty.items():
+        v = cols[name]
+        if type(v) is not type(e) or (type(v) is np.ndarray and (v.dtype, v.ndim) != (e.dtype, 1)):
+            return False
+    return len({len(v) for v in cols.values()}) == 1
 
 
 def _valid_columns(cols: dict, record_cls) -> bool:
@@ -531,11 +518,38 @@ def _fast_columns(data: bytes, record_cls) -> dict | None:
 
 
 def columns_from_records(records, record_cls) -> StreamColumns:
-    """The columns of a record sequence (see StreamColumns)."""
+    """The columns of a record sequence (see StreamColumns); an integer
+    field beyond int64 raises ValidationError naming the field."""
     cols = {}
     for name, kind in _COLUMN_KINDS[record_cls]:
-        _put_column(cols, name, kind, [getattr(r, name) for r in records])
+        try:
+            _put_column(cols, name, kind, [getattr(r, name) for r in records])
+        except OverflowError:
+            raise ValidationError(f"{name} beyond the int64 range", field=name) from None
     return StreamColumns(cols)
+
+
+def encode_jsonl_columns(cols: StreamColumns, record_cls) -> bytes:
+    """Encode a stream's columns as LF-terminated JSONL: per record, the
+    bytes of ``json.dumps`` with minimal separators and ``ensure_ascii=False``,
+    fields in ``_COLUMN_KINDS`` order (``t`` first), an optional field left
+    out where its mask is false. Values are not checked (see ``_valid_columns``).
+    """
+    template, values = "{", []
+    for name, kind in _COLUMN_KINDS[record_cls]:
+        key = ("" if template == "{" else ",") + f'"{name}":'
+        if kind == "optional":
+            template += "%s"
+            present = zip(cols[name].tolist(), cols["has_" + name].tolist())
+            values.append([key + repr(v) if has else "" for v, has in present])
+        elif kind == "str":
+            template += key + "%s"
+            values.append(list(map(encode_basestring, cols[name])))
+        else:
+            template += key + ("%d" if kind == "int" else "%r")
+            values.append(cols[name].tolist())
+    template += "}\n"
+    return "".join(map(template.__mod__, zip(*values))).encode("utf-8")
 
 
 def decode_jsonl_columns(data: bytes, record_cls, stream_name: str) -> StreamColumns:
@@ -553,12 +567,10 @@ def decode_jsonl_columns(data: bytes, record_cls, stream_name: str) -> StreamCol
     if cols is not None:
         return StreamColumns(cols)
     records = decode_jsonl_stream(data, record_cls, stream_name)
-    ints = [name for name, kind in _COLUMN_KINDS[record_cls] if kind == "int"]
-    for i, r in enumerate(records):
-        for name in ints:
-            if getattr(r, name) > INT64_MAX:
-                lineno = [k for k, raw in enumerate(data.split(b"\n"), start=1) if raw][i]
-                raise ValidationError(
-                    f"{stream_name}: {name} beyond the int64 range at line {lineno}", field=name
-                )
-    return columns_from_records(records, record_cls)
+    try:
+        return columns_from_records(records, record_cls)
+    except ValidationError as e:  # an integer beyond int64
+        i = next(i for i, r in enumerate(records) if getattr(r, e.field) > INT64_MAX)
+        lineno = [k for k, raw in enumerate(data.split(b"\n"), start=1) if raw][i]
+        msg = f"{stream_name}: {e.field} beyond the int64 range at line {lineno}"
+        raise ValidationError(msg, field=e.field) from None

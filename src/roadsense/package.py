@@ -16,8 +16,10 @@ blob tracked in the manifest with size and sha256.
 
 ``load_package`` validates a package and decodes each stream once into
 ``StreamColumns`` (numpy arrays per field); the checks run on those
-columns, and analysis reuses them. ``read_stream``/``read_streams`` decode
-into records, the API at the edges.
+columns, and analysis reuses them. ``packstore.create_package`` runs the
+same checks on the columns it is given before it writes them.
+``read_stream``/``read_streams`` decode into records, the public API at
+the edges.
 
 The memo holds the sha256 of the manifest.json bytes whose streams passed
 every stream check (the manifest pins the stream bytes). ``create_package``

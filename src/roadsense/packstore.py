@@ -43,21 +43,23 @@ from pathlib import Path
 from .canonical import dumps_canonical
 from .errors import NetworkError, RoadsenseError, StateMachineError, ValidationError
 from .model import (
-    INT64_MAX,
     BlobEntry,
     PackageManifest,
-    encode_jsonl_stream,
+    StreamColumns,
+    _check_relative_path,
+    _shaped_columns,
+    _valid_columns,
+    encode_jsonl_columns,
     serialize_manifest,
 )
 from .package import (
-    FRAMES_NAME,
-    GPS_NAME,
+    _STREAM_TYPES,
     MANIFEST_NAME,
     RESERVED_NAMES,
-    SENSORS_NAME,
     STREAM_NAMES,
     UPLOAD_STATE_NAME,
     ValidationReport,
+    _check_monotonic,
     load_package,
     sha256_file,
     validate_package,  # noqa: F401  (looked up here by callers and the benchmark tracer)
@@ -220,9 +222,9 @@ def read_upload_state(package_dir: str | os.PathLike) -> UploadState | None:
 
 def create_package(
     root: str | os.PathLike,
-    samples,
-    gps,
-    frames,
+    samples: StreamColumns,
+    gps: StreamColumns,
+    frames: StreamColumns,
     *,
     device_id: str,
     started_at_ms: int,
@@ -234,28 +236,30 @@ def create_package(
 ) -> tuple[Path, PackageManifest]:
     """Write a fresh package directory in the standard layout.
 
-    Timestamps and frame indices must be strictly increasing and within
-    int64, as ``validate_package`` checks, and the package gets a fresh
+    The streams are ``StreamColumns`` as ``decode_jsonl_columns`` gives them
+    (``columns_from_records`` makes them from records), and must pass the
+    checks ``validate_package`` runs on those; the package then gets a fresh
     stream-check memo. ``extra_blobs`` maps other relative names (e.g. frame
-    payloads) to raw bytes. On any write failure the partial directory is removed.
+    payloads) to raw bytes. A refusal raises ValidationError before anything
+    is written; on a write failure the partial directory is removed.
     """
     # the stream checks of validate_package, so that the memo written below holds
-    for name, key, what, stream in (
-        (SENSORS_NAME, "t", "timestamps", samples), (GPS_NAME, "t", "timestamps", gps),
-        (FRAMES_NAME, "t", "timestamps", frames), (FRAMES_NAME, "index", "frame indices", frames),
-    ):
-        prev = -1
-        for i, rec in enumerate(stream):
-            value = getattr(rec, key)
-            if value <= prev:
-                msg = f"{name}: {what} must be strictly increasing (record {i})"
-                raise ValidationError(msg, field=key)
-            prev = value
-        if prev > INT64_MAX:  # the column decoder refuses it
-            raise ValidationError(f"{name}: {key} beyond the int64 range", field=key)
+    payloads = {}
+    for name, cols in zip(STREAM_NAMES, (samples, gps, frames)):
+        record_cls = _STREAM_TYPES[name]
+        if not (_shaped_columns(cols.fields, record_cls) and _valid_columns(cols.fields, record_cls)):
+            msg = f"{name}: not valid {record_cls.__name__} columns (fields, dtypes or values)"
+            raise ValidationError(msg, field=name)
+        check = _check_monotonic(name, cols)
+        if not check.ok:
+            raise ValidationError(f"{name}: {check.detail}", field=name)
+        payloads[name] = encode_jsonl_columns(cols, record_cls)
+    for name in extra_blobs or ():
+        _check_relative_path("name", name)
     clash = (RESERVED_NAMES | set(STREAM_NAMES)).intersection(extra_blobs or ())
     if clash:
         raise ValidationError(f"extra blobs may not be named {sorted(clash)}", field="name")
+    payloads.update(extra_blobs or {})
 
     pid = package_id or str(uuid.uuid4())
     uuid.UUID(pid)  # fail early on a malformed explicit id
@@ -264,12 +268,6 @@ def create_package(
         raise FileExistsError(f"package directory already exists: {package_dir}")
     package_dir.mkdir(parents=True)
     try:
-        payloads = {
-            SENSORS_NAME: encode_jsonl_stream(samples),
-            GPS_NAME: encode_jsonl_stream(gps),
-            FRAMES_NAME: encode_jsonl_stream(frames),
-        }
-        payloads.update(extra_blobs or {})
         blobs = []
         for name, data in payloads.items():
             path = package_dir / name

@@ -55,6 +55,7 @@ from roadsense.kinematics import (
 from roadsense.model import (
     BlobEntry,
     FrameRef,
+    GpsFix,
     PackageManifest,
     SensorSample,
     columns_from_records,
@@ -235,7 +236,7 @@ def test_criterion_04_rms_properties(capfd):
 
 
 def _detected(samples):
-    return classify_events(detect_axis_spikes(columns_from_records(samples, SensorSample)))
+    return classify_events(detect_axis_spikes(samples))
 
 
 def test_criterion_05_event_rules(capfd):
@@ -490,7 +491,8 @@ _TABLE = {
 
 def _build_package(root):
     return create_package(
-        root, make_samples(6), make_gps(2), make_frames(2),
+        root, columns_from_records(make_samples(6), SensorSample),
+        columns_from_records(make_gps(2), GpsFix), columns_from_records(make_frames(2), FrameRef),
         device_id="pixel-6", started_at_ms=1_700_000_000_000,
         ended_at_ms=1_700_000_060_000)
 

@@ -1,6 +1,7 @@
 """Command line: end-to-end walkthrough and exit code contract."""
 
 import json
+import shutil
 
 import pytest
 
@@ -64,6 +65,18 @@ def test_query_at_and_range(sim_lib, capsys):
     rc = main(["query", "--package", str(pkg_dir), "--at", "1016", "--tol", "5"])
     assert rc == 0
     assert capsys.readouterr().out == ""
+
+
+def test_query_on_a_stream_out_of_order_is_a_validation_failure(sim_lib, tmp_path, capsys):
+    pkg_dir = tmp_path / "pkg"
+    shutil.copytree(sim_lib[1], pkg_dir)  # the library is shared by the module
+    path = pkg_dir / "sensors.jsonl"
+    lines = path.read_bytes().split(b"\n")
+    lines[1], lines[2] = lines[2], lines[1]  # t = 0, 67, 33, ...
+    path.write_bytes(b"\n".join(lines))
+    assert main(["query", "--package", str(pkg_dir), "--at", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "sensors.jsonl: timestamp not strictly increasing at record 2 (t=33)" in err
 
 
 def test_analyze_plain_and_with_reference(sim_lib, tmp_path, capsys):

@@ -6,6 +6,7 @@ import uuid
 
 import numpy as np
 import pytest
+from test_model import assert_columns_equal
 
 from roadsense.drivesim import (
     GRAVITY_MPS2,
@@ -27,7 +28,6 @@ from roadsense.drivesim import (
 from roadsense.errors import ValidationError
 from roadsense.geo import snap_to_polyline
 from roadsense.kinematics import DriveEvent, EventKind, detect_axis_spikes
-from roadsense.model import SensorSample, columns_from_records
 from roadsense.packstore import UploadStatus
 from roadsense.syncclient import SyncClient
 
@@ -48,9 +48,9 @@ def test_generate_drive_is_deterministic():
     scenario = default_scenario(42, duration_s=12.0)
     a = generate_drive(scenario)
     b = generate_drive(scenario)
-    assert a.samples == b.samples
-    assert a.gps == b.gps
-    assert a.frames == b.frames
+    assert_columns_equal(a.samples, b.samples.fields)
+    assert_columns_equal(a.gps, b.gps.fields)
+    assert_columns_equal(a.frames, b.frames.fields)
     assert a.truth == b.truth
 
 
@@ -120,7 +120,7 @@ def test_variant_scenario_packages_are_pinned(tmp_path, name):
 def test_different_seeds_differ():
     base = generate_drive(default_scenario(1, duration_s=6.0))
     other = generate_drive(default_scenario(2, duration_s=6.0))
-    assert base.samples != other.samples
+    assert any(not np.array_equal(base.samples[k], other.samples[k]) for k in base.samples.fields)
     assert base.scenario.package_id != other.scenario.package_id
 
 
@@ -135,11 +135,11 @@ def test_package_id_is_a_seed_function():
 
 def test_streams_sit_on_the_tick_grid():
     sim = generate_drive(quiet_scenario(duration_s=2.0))
-    assert [s.t for s in sim.samples] == [round(i * 1000 / 30) for i in range(61)]
-    assert [g.t for g in sim.gps] == [0, 1000, 2000]
-    assert [f.t for f in sim.frames] == [round(j * 1000 / 10) for j in range(21)]
-    assert [f.index for f in sim.frames] == list(range(21))
-    assert [f.file for f in sim.frames][:2] == ["frames/000000.jpg", "frames/000001.jpg"]
+    assert sim.samples["t"].tolist() == [round(i * 1000 / 30) for i in range(61)]
+    assert sim.gps["t"].tolist() == [0, 1000, 2000]
+    assert sim.frames["t"].tolist() == [round(j * 1000 / 10) for j in range(21)]
+    assert sim.frames["index"].tolist() == list(range(21))
+    assert sim.frames["file"][:2] == ["frames/000000.jpg", "frames/000001.jpg"]
 
 
 def test_scenario_doc_round_trip():
@@ -188,11 +188,11 @@ def test_default_scenario_scales_events_with_duration():
 
 
 def channel(sim, name):
-    return np.asarray([getattr(s, name) for s in sim.samples])
+    return sim.samples[name]
 
 
 def t_seconds(sim):
-    return np.asarray([s.t for s in sim.samples]) / 1000.0
+    return sim.samples["t"] / 1000.0
 
 
 def test_quiet_drive_is_flat_gravity():
@@ -200,7 +200,7 @@ def test_quiet_drive_is_flat_gravity():
     assert np.all(channel(sim, "az") == GRAVITY_MPS2)
     for name in ("ax", "ay", "gx", "gy", "gz"):
         assert np.all(channel(sim, name) == 0.0)
-    assert detect_axis_spikes(columns_from_records(sim.samples, SensorSample)) == []
+    assert detect_axis_spikes(sim.samples) == []
 
 
 def test_pothole_is_a_vertical_half_sine():
@@ -242,7 +242,7 @@ def test_stop_shapes_speed_and_longitudinal_accel():
         speed_profile=(SpeedStep(0.0, 15.0),),
         events=(SimEvent(2.0, SimEventKind.STOP, 3.0),),  # dwell 7..10, ramp 10..15
     ))
-    speed = {g.t: g.speed_mps for g in sim.gps}
+    speed = dict(zip(sim.gps["t"].tolist(), sim.gps["speed_mps"].tolist()))
     assert speed[0] == 15.0
     assert speed[8000] == 0.0 and speed[9000] == 0.0
     assert speed[18000] == pytest.approx(15.0)
@@ -274,16 +274,16 @@ def test_truth_records_time_and_chainage():
 
 def test_gps_noise_controls_route_scatter():
     clean = generate_drive(quiet_scenario(duration_s=8.0))
-    for fix in clean.gps:
-        assert fix.h_acc_m is None
-        snap = snap_to_polyline((fix.lat, fix.lon), clean.scenario.route)
+    assert not clean.gps["has_h_acc_m"].any()
+    for lat, lon in zip(clean.gps["lat"].tolist(), clean.gps["lon"].tolist()):
+        snap = snap_to_polyline((lat, lon), clean.scenario.route)
         assert snap.cross_track_m < 0.01
 
     noisy = generate_drive(quiet_scenario(duration_s=8.0, gps_noise_m=3.0))
-    assert all(fix.h_acc_m == 3.0 for fix in noisy.gps)
+    assert noisy.gps["has_h_acc_m"].all() and (noisy.gps["h_acc_m"] == 3.0).all()
     scatter = [
-        snap_to_polyline((fix.lat, fix.lon), noisy.scenario.route).cross_track_m
-        for fix in noisy.gps
+        snap_to_polyline((lat, lon), noisy.scenario.route).cross_track_m
+        for lat, lon in zip(noisy.gps["lat"].tolist(), noisy.gps["lon"].tolist())
     ]
     assert max(scatter) > 0.5  # visibly off the line
 

@@ -3,6 +3,7 @@
 import json
 import math
 import uuid
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -18,9 +19,10 @@ from roadsense.model import (
     GpsFix,
     PackageManifest,
     SensorSample,
+    columns_from_records,
     decode_jsonl_columns,
     decode_jsonl_stream,
-    encode_jsonl_stream,
+    encode_jsonl_columns,
     parse_manifest,
     serialize_manifest,
 )
@@ -89,7 +91,7 @@ def test_stream_records_round_trip():
         SensorSample(t=0, ax=0.1, ay=-0.2, az=9.81, gx=0.0, gy=0.0, gz=0.01),
         SensorSample(t=33, ax=0.0, ay=0.0, az=9.79, gx=0.0, gy=0.0, gz=0.0),
     ]
-    data = encode_jsonl_stream(records)
+    data = encode_jsonl_columns(columns_from_records(records, SensorSample), SensorSample)
     assert data.endswith(b"\n") and data.count(b"\n") == 2
     assert decode_jsonl_stream(data, SensorSample, "sensors.jsonl") == records
 
@@ -97,20 +99,63 @@ def test_stream_records_round_trip():
         GpsFix(t=0, lat=38.9, lon=-92.3, alt_m=201.0, speed_mps=20.0, h_acc_m=3.0),
         GpsFix(t=1000, lat=38.91, lon=-92.31, alt_m=202.0),  # optionals absent
     ]
-    data = encode_jsonl_stream(fixes)
+    data = encode_jsonl_columns(columns_from_records(fixes, GpsFix), GpsFix)
     assert decode_jsonl_stream(data, GpsFix, "gps.jsonl") == fixes
     assert b"speed_mps" not in data.splitlines()[1]
 
     frames = [FrameRef(t=0, index=0, file="frames/000000.jpg")]
-    data = encode_jsonl_stream(frames)
+    data = encode_jsonl_columns(columns_from_records(frames, FrameRef), FrameRef)
     assert decode_jsonl_stream(data, FrameRef, "frames.jsonl") == frames
+
+
+def encode_one(record) -> bytes:
+    cls = type(record)
+    return encode_jsonl_columns(columns_from_records([record], cls), cls)
 
 
 def test_jsonl_puts_t_first():
     # wire order is documented: t leads every stream line
-    assert SensorSample(t=5, ax=0, ay=0, az=9.81, gx=0, gy=0, gz=0).to_jsonl().startswith(b'{"t":5,')
-    assert GpsFix(t=7, lat=0.0, lon=0.0, alt_m=0.0).to_jsonl().startswith(b'{"t":7,')
-    assert FrameRef(t=9, index=1, file="a.jpg").to_jsonl().startswith(b'{"t":9,')
+    assert encode_one(SensorSample(t=5, ax=0, ay=0, az=9.81, gx=0, gy=0, gz=0)).startswith(b'{"t":5,')
+    assert encode_one(GpsFix(t=7, lat=0.0, lon=0.0, alt_m=0.0)).startswith(b'{"t":7,')
+    assert encode_one(FrameRef(t=9, index=1, file="a.jpg")).startswith(b'{"t":9,')
+
+
+def reference_line(row: dict, cls) -> bytes:
+    """One record line as json.dumps writes the record's fields in their
+    order, an absent optional left out; float fields hold floats, as the
+    record constructors make them."""
+    doc = {}
+    for name, kind in STREAM_FIELDS[cls].items():
+        v = row[name]
+        if v is not None:
+            doc[name] = float(v) if kind in ("float", "optional") else v
+    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False, allow_nan=False).encode() + b"\n"
+
+
+_float_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, 1e-7, 2.0**53 + 2, 1.7976931348623157e308]),
+    st.integers(-(2**64), 2**64),  # an int in a float field is stored as a float
+)
+_text_values = st.text(
+    st.sampled_from('a/."\\\x00\x1f\x7f\n\té日\u2028🚗') | st.characters(codec="utf-8"), max_size=8
+)
+_int_values = st.integers(0, 2**63 - 1)
+_ROW_VALUES = {"int": _int_values, "float": _float_values, "optional": st.none() | _float_values,
+               "str": _text_values}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_encode_jsonl_columns_matches_json_dumps_of_each_record(data):
+    cls = data.draw(st.sampled_from(ALL))
+    fields = STREAM_FIELDS[cls]
+    rows = data.draw(st.lists(
+        st.fixed_dictionaries({name: _ROW_VALUES[kind] for name, kind in fields.items()}), max_size=8,
+    ))
+    cols = model.StreamColumns(oracle_columns([SimpleNamespace(**row) for row in rows], cls))
+    want = b"".join(reference_line(row, cls) for row in rows)
+    assert encode_jsonl_columns(cols, cls) == want
 
 
 # -- validation -----------------------------------------------------------------
@@ -318,7 +363,7 @@ def stream_docs(draw, min_size=0, classes=tuple(STREAM_FIELDS)):
     records = draw(st.lists(_record_strategies[cls], min_size=min_size, max_size=12))
     docs = []
     for r in records:
-        doc = json.loads(r.to_jsonl())
+        doc = json.loads(encode_one(r))
         for name, kind in STREAM_FIELDS[cls].items():
             v = doc.get(name)
             if kind in ("float", "optional") and isinstance(v, float) and v.is_integer() \

@@ -7,6 +7,7 @@ import os
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,16 @@ from conftest import make_frames, make_gps, make_samples, resign_manifest
 from test_model import LINE_MUTATIONS
 from roadsense import cli
 from roadsense.errors import ParseError, ValidationError
-from roadsense.model import FrameRef, GpsFix, SensorSample, decode_jsonl_stream, parse_manifest
+from roadsense.model import (
+    FrameRef,
+    GpsFix,
+    SensorSample,
+    StreamColumns,
+    columns_from_records,
+    decode_jsonl_stream,
+    encode_jsonl_columns,
+    parse_manifest,
+)
 from roadsense.package import (
     FRAMES_NAME,
     GPS_NAME,
@@ -41,9 +51,9 @@ from roadsense.packstore import create_package
 def write_pkg(root, n=30):
     return create_package(
         root,
-        make_samples(n),
-        make_gps(2),
-        make_frames(3),
+        columns_from_records(make_samples(n), SensorSample),
+        columns_from_records(make_gps(2), GpsFix),
+        columns_from_records(make_frames(3), FrameRef),
         device_id="pixel-4a",
         started_at_ms=1_700_000_000_000,
         ended_at_ms=1_700_000_001_000,
@@ -128,9 +138,7 @@ def test_non_monotonic_stream_detected(tmp_path):
     pkg_dir, manifest = write_pkg(tmp_path)
     samples = make_samples(5)
     samples[3] = SensorSample(t=samples[1].t, ax=0, ay=0, az=9.81, gx=0, gy=0, gz=0)
-    from roadsense.model import encode_jsonl_stream
-
-    data = encode_jsonl_stream(samples)
+    data = encode_jsonl_columns(columns_from_records(samples, SensorSample), SensorSample)
     (pkg_dir / SENSORS_NAME).write_bytes(data)
     # fix up the manifest so only monotonicity fails, not the digest
     doc = json.loads((pkg_dir / MANIFEST_NAME).read_bytes())
@@ -152,8 +160,8 @@ def test_create_rejects_non_monotonic_streams(tmp_path):
     samples.append(samples[-1])  # duplicate timestamp
     with pytest.raises(ValidationError):
         create_package(
-            tmp_path, samples, [], [],
-            device_id="d", started_at_ms=0, ended_at_ms=1,
+            tmp_path, columns_from_records(samples, SensorSample), columns_from_records([], GpsFix),
+            columns_from_records([], FrameRef), device_id="d", started_at_ms=0, ended_at_ms=1,
         )
     assert list(tmp_path.iterdir()) == []  # nothing half-written
 
@@ -161,34 +169,103 @@ def test_create_rejects_non_monotonic_streams(tmp_path):
 def test_create_rejects_a_frame_index_that_is_not_increasing(tmp_path):
     frames = [FrameRef(0, 1, "frames/a.jpg"), FrameRef(100, 1, "frames/b.jpg")]
     with pytest.raises(ValidationError, match=re.escape(
-        f"{FRAMES_NAME}: frame indices must be strictly increasing (record 1)"
+        f"{FRAMES_NAME}: frame index not strictly increasing at record 1"
     )):
-        create_package(tmp_path, [], [], frames, device_id="d", started_at_ms=0, ended_at_ms=1)
+        create_package(tmp_path, columns_from_records([], SensorSample),
+                       columns_from_records([], GpsFix), columns_from_records(frames, FrameRef),
+                       device_id="d", started_at_ms=0, ended_at_ms=1)
     assert list(tmp_path.iterdir()) == []  # nothing half-written
 
 
 def test_create_rejects_a_timestamp_beyond_int64(tmp_path):
     samples = make_samples(2) + [SensorSample(t=2**63, ax=0, ay=0, az=9.81, gx=0, gy=0, gz=0)]
     with pytest.raises(ValidationError, match="t beyond the int64 range"):
-        create_package(tmp_path, samples, [], [], device_id="d", started_at_ms=0, ended_at_ms=1)
+        create_package(tmp_path, columns_from_records(samples, SensorSample),
+                       columns_from_records([], GpsFix), columns_from_records([], FrameRef),
+                       device_id="d", started_at_ms=0, ended_at_ms=1)
+    assert list(tmp_path.iterdir()) == []
+
+
+# stream, field, replacement (None drops the field) for two-record columns
+# that decode_jsonl_columns never gives
+_BAD_COLUMNS = {
+    "negative t": (SENSORS_NAME, "t", np.array([-1, 33])),
+    "nan": (SENSORS_NAME, "ax", np.array([0.0, np.nan])),
+    "infinite": (GPS_NAME, "alt_m", np.array([np.inf, 0.0])),
+    "negative speed": (GPS_NAME, "speed_mps", np.array([1.0, -1.0])),
+    "latitude beyond 90": (GPS_NAME, "lat", np.array([90.5, 0.0])),
+    "bad frame path": (FRAMES_NAME, "file", ["frames/a.jpg", "../b.jpg"]),
+    "frame path not a str": (FRAMES_NAME, "file", ["frames/a.jpg", 7]),
+    "uint64 t holding 2**63": (SENSORS_NAME, "t", np.array([0, 2**63], dtype=np.uint64)),
+    "float t": (GPS_NAME, "t", np.array([0.0, 1000.0])),
+    "float32 values": (SENSORS_NAME, "az", np.array([9.81, 9.81], dtype=np.float32)),
+    "int mask": (GPS_NAME, "has_h_acc_m", np.array([0, 0])),
+    "2-d column": (SENSORS_NAME, "gx", np.zeros((2, 1))),
+    "short column": (FRAMES_NAME, "index", np.array([0])),
+    "missing mask": (GPS_NAME, "has_speed_mps", None),
+    "missing field": (SENSORS_NAME, "gz", None),
+    "extra field": (FRAMES_NAME, "extra", np.array([1, 2])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_COLUMNS))
+def test_create_rejects_columns_the_decoder_never_gives(tmp_path, case):
+    name, key, value = _BAD_COLUMNS[case]
+    streams = {
+        SENSORS_NAME: columns_from_records(make_samples(2), SensorSample),
+        GPS_NAME: columns_from_records(make_gps(2), GpsFix),
+        FRAMES_NAME: columns_from_records(make_frames(2), FrameRef),
+    }
+    fields = dict(streams[name].fields)
+    if value is None:
+        del fields[key]
+    else:
+        fields[key] = value
+    streams[name] = StreamColumns(fields)
+    with pytest.raises(ValidationError, match=re.escape(name)):
+        create_package(tmp_path / "lib", *streams.values(), device_id="d", started_at_ms=0,
+                       ended_at_ms=1)
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("name", [SENSORS_NAME, MANIFEST_NAME, UPLOAD_STATE_NAME, MEMO_NAME])
 def test_create_rejects_an_extra_blob_named_like_a_package_file(tmp_path, name):
     with pytest.raises(ValidationError, match="extra blobs may not be named"):
-        create_package(tmp_path, make_samples(2), [], [], device_id="d", started_at_ms=0,
-                       ended_at_ms=1, extra_blobs={name: b"x"})
+        create_package(tmp_path, columns_from_records(make_samples(2), SensorSample),
+                       columns_from_records([], GpsFix), columns_from_records([], FrameRef),
+                       device_id="d", started_at_ms=0, ended_at_ms=1, extra_blobs={name: b"x"})
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("where", ["relative", "absolute"])
+def test_create_rejects_an_extra_blob_outside_the_package(tmp_path, where):
+    name = {"relative": "../escape.bin", "absolute": str(tmp_path / "escape.bin")}[where]
+    with pytest.raises(ValidationError, match="name must"):
+        create_package(tmp_path / "lib", columns_from_records(make_samples(2), SensorSample),
+                       columns_from_records([], GpsFix), columns_from_records([], FrameRef),
+                       device_id="d", started_at_ms=0, ended_at_ms=1, extra_blobs={name: b"x"})
+    assert list(tmp_path.rglob("*")) == []  # nothing at all was written
+
+
 def test_create_cleans_up_on_failure(tmp_path):
-    # blob name validation fails after the directory exists
+    # blob name validation fails before the directory exists
     with pytest.raises(ValidationError):
         create_package(
-            tmp_path, make_samples(2), [], [],
+            tmp_path, columns_from_records(make_samples(2), SensorSample),
+            columns_from_records([], GpsFix), columns_from_records([], FrameRef),
             device_id="d", started_at_ms=0, ended_at_ms=1,
             extra_blobs={"/absolute.bin": b"x"},
+        )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_create_removes_the_directory_when_a_write_fails(tmp_path):
+    with pytest.raises(OSError):  # "a" is a file, so "a/b.bin" cannot be written
+        create_package(
+            tmp_path, columns_from_records(make_samples(2), SensorSample),
+            columns_from_records([], GpsFix), columns_from_records([], FrameRef),
+            device_id="d", started_at_ms=0, ended_at_ms=1,
+            extra_blobs={"a": b"x", "a/b.bin": b"y"},
         )
     assert list(tmp_path.iterdir()) == []
 
@@ -197,7 +274,8 @@ def test_create_refuses_existing_directory(tmp_path):
     _, manifest = write_pkg(tmp_path)
     with pytest.raises(FileExistsError):
         create_package(
-            tmp_path, make_samples(2), [], [],
+            tmp_path, columns_from_records(make_samples(2), SensorSample),
+            columns_from_records([], GpsFix), columns_from_records([], FrameRef),
             device_id="d", started_at_ms=0, ended_at_ms=1,
             package_id=manifest.package_id,
         )
@@ -298,8 +376,9 @@ def test_validate_package_matches_the_record_based_check(data):
     draw = data.draw
     with tempfile.TemporaryDirectory() as tmp:
         pkg_dir, _ = create_package(
-            tmp, make_samples(draw(st.integers(2, 12))), make_gps(draw(st.integers(2, 4))),
-            make_frames(draw(st.integers(2, 6))),
+            tmp, columns_from_records(make_samples(draw(st.integers(2, 12))), SensorSample),
+            columns_from_records(make_gps(draw(st.integers(2, 4))), GpsFix),
+            columns_from_records(make_frames(draw(st.integers(2, 6))), FrameRef),
             device_id="pixel-4a", started_at_ms=0, ended_at_ms=1_000,
         )
         streams = st.sampled_from([SENSORS_NAME, GPS_NAME, FRAMES_NAME])
@@ -384,7 +463,9 @@ def test_every_package_create_package_accepts_passes_a_full_validation(data):
     extra = draw(st.dictionaries(names, st.binary(max_size=8), max_size=2))
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            pkg_dir, _ = create_package(tmp, samples, gps, frames, device_id="d",
+            pkg_dir, _ = create_package(tmp, columns_from_records(samples, SensorSample),
+                                        columns_from_records(gps, GpsFix),
+                                        columns_from_records(frames, FrameRef), device_id="d",
                                         started_at_ms=0, ended_at_ms=1, extra_blobs=extra)
         except ValidationError:
             assert os.listdir(tmp) == []

@@ -9,6 +9,7 @@ from fakes import DroppyService, FakeSyncService, Killed, KillSwitch
 
 from roadsense import model, package, packstore
 from roadsense.errors import ParseError, StateMachineError
+from roadsense.model import FrameRef, GpsFix, SensorSample, columns_from_records
 from roadsense.packstore import (
     ServerRejected,
     Uploader,
@@ -129,7 +130,9 @@ def build_package(root, **kw):
     kw.setdefault("device_id", "pixel-6")
     kw.setdefault("started_at_ms", 1_700_000_000_000)
     kw.setdefault("ended_at_ms", 1_700_000_060_000)
-    return create_package(root, make_samples(6), make_gps(2), make_frames(2), **kw)
+    return create_package(root, columns_from_records(make_samples(6), SensorSample),
+                          columns_from_records(make_gps(2), GpsFix),
+                          columns_from_records(make_frames(2), FrameRef), **kw)
 
 
 def test_recover_flips_in_progress_to_interrupted(tmp_path):
@@ -220,7 +223,8 @@ def test_recover_decodes_a_stream_edited_out_of_order(tmp_path, decodes):
     pkg_dir, manifest = build_package(tmp_path)
     samples = make_samples(6)
     samples[2], samples[4] = samples[4], samples[2]
-    (pkg_dir / "sensors.jsonl").write_bytes(model.encode_jsonl_stream(samples))
+    (pkg_dir / "sensors.jsonl").write_bytes(
+        model.encode_jsonl_columns(columns_from_records(samples, SensorSample), SensorSample))
     resign_manifest(pkg_dir)  # the digests match; only the order is wrong
     entry = recover(tmp_path).entries[manifest.package_id]
     assert decodes == list(package.STREAM_NAMES)
