@@ -1,12 +1,13 @@
 """Command line: end-to-end walkthrough and exit code contract."""
 
+import hashlib
 import json
 import shutil
 
 import pytest
 
 from roadsense.cli import main
-from roadsense.drivesim import Scenario, default_scenario
+from roadsense.drivesim import Scenario, default_scenario, write_package
 from roadsense.errors import NetworkError
 from roadsense.package import validate_package
 from roadsense.syncclient import SyncClient
@@ -65,6 +66,32 @@ def test_query_at_and_range(sim_lib, capsys):
     rc = main(["query", "--package", str(pkg_dir), "--at", "1016", "--tol", "5"])
     assert rc == 0
     assert capsys.readouterr().out == ""
+
+
+# sha256 of the stdout bytes of each query on default_scenario(7), recorded
+# when query still decoded records; columns must print the same bytes
+QUERY_PINS = [
+    (["sensors", "--range", "0", "120000"],
+     "d5a2f2d99eb11b3dd6d0cdde60749d9b410e160c50d7a86595f2ce381af5483b"),
+    (["frames", "--range", "0", "120000"],
+     "d099e5235e1ab908cc511783ba92236229b7df6b829dce36dd656031bb0c9506"),
+    (["gps", "--range", "0", "120000"],
+     "a32e0d6a7ef8f00a2e30ab58383860aaae335d0a2964ebd768f806c9e30497b0"),
+    (["gps", "--at", "5500", "--tol", "600"],
+     "11beae473d0286f9c6483e31920917d647f432f14e11af94374b565e0a4aa74b"),
+    (["sensors", "--at", "1016", "--tol", "5"],  # nothing within 5 ms
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["frames", "--at", "-50"],
+     "bb55cd0bb775febb72fca0a9e2d966c260d1e4eb894d3dd369baa84387a2b4d9"),
+]
+
+
+def test_query_output_is_pinned(tmp_path, capsysbinary):
+    pkg_dir, _, _ = write_package(default_scenario(7), tmp_path)
+    for (stream, *query), digest in QUERY_PINS:
+        assert main(["query", "--package", str(pkg_dir), "--stream", stream, *query]) == 0
+        out = capsysbinary.readouterr().out
+        assert hashlib.sha256(out).hexdigest() == digest, (stream, *query)
 
 
 def test_query_on_a_stream_out_of_order_is_a_validation_failure(sim_lib, tmp_path, capsys):
