@@ -22,8 +22,8 @@ from .canonical import dumps_canonical
 from .config import Config, load_config
 from .drivesim import NetworkProfile, Scenario, default_scenario, replay_upload, write_package
 from .errors import NetworkError, ParseError, StateMachineError, ValidationError
-from .model import columns_from_records, encode_jsonl_columns, parse_manifest
-from .package import _STREAM_TYPES, _check_monotonic, read_manifest, read_stream, validate_package
+from .model import StreamColumns, decode_jsonl_columns, encode_jsonl_columns, parse_manifest
+from .package import _STREAM_TYPES, _check_monotonic, read_manifest, validate_package
 from .packstore import (
     ServerRejected,
     Uploader,
@@ -41,7 +41,7 @@ EXIT_ARGS = 2
 EXIT_IO = 3
 EXIT_NETWORK = 4
 
-_UNBOUNDED_TOL = 2**62
+_UNBOUNDED_TOL = 2**64  # beyond the distance between any two int64 times
 
 
 def _load_scenario(args) -> Scenario:
@@ -202,20 +202,19 @@ def cmd_pull(args) -> int:
 def cmd_query(args) -> int:
     name = f"{args.stream}.jsonl"
     record_cls = _STREAM_TYPES[name]
-    records = read_stream(args.package, name)
+    cols = decode_jsonl_columns((Path(args.package) / name).read_bytes(), record_cls, name)
     # an out-of-order stream is a validation failure, as validate reports it
-    check = _check_monotonic(name, columns_from_records(records, record_cls))
+    check = _check_monotonic(name, cols)
     if not check.ok:
         raise ValidationError(f"{name}: {check.detail}")
-    index = TimeIndex(records)
+    index = TimeIndex(cols["t"])
     if args.at is not None:
-        tol = args.tol if args.tol is not None else _UNBOUNDED_TOL
-        hit = index.nearest(args.at, tol)
-        hits = [] if hit is None else [hit]
+        pos = index.nearest(args.at, _UNBOUNDED_TOL if args.tol is None else args.tol)
+        rows = slice(0) if pos is None else slice(pos, pos + 1)
     else:
-        t0, t1 = args.range
-        hits = index.range(t0, t1)
-    sys.stdout.buffer.write(encode_jsonl_columns(columns_from_records(hits, record_cls), record_cls))
+        rows = index.range(*args.range)
+    hits = StreamColumns({field: column[rows] for field, column in cols.fields.items()})
+    sys.stdout.buffer.write(encode_jsonl_columns(hits, record_cls))
     sys.stdout.buffer.flush()
     return EXIT_OK
 
@@ -258,6 +257,14 @@ def cmd_validate(args) -> int:
         print(f"{check.package_id}: valid")
         return EXIT_OK
     return _report_invalid(check)
+
+
+def int64(text: str) -> int:
+    """argparse type of the query times: an integer in the int64 range."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise argparse.ArgumentTypeError(f"{text} is beyond the int64 range")
+    return value
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -316,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--package", required=True)
     p.add_argument("--stream", choices=("sensors", "gps", "frames"), default="sensors")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--at", type=int, help="nearest record to this time (ms)")
-    group.add_argument("--range", type=int, nargs=2, metavar=("T0", "T1"))
-    p.add_argument("--tol", type=int, help="tolerance for --at (ms)")
+    group.add_argument("--at", type=int64, help="nearest record to this time (ms)")
+    group.add_argument("--range", type=int64, nargs=2, metavar=("T0", "T1"))
+    p.add_argument("--tol", type=int64, help="tolerance for --at (ms)")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("analyze", help="run the analysis pipeline, write report files")

@@ -37,10 +37,16 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
             raise ValueError("config file must contain a JSON object")
-        known = {f.name for f in fields(Config)}
-        unknown = set(doc) - known
+        kinds = {f.name: type(f.default) for f in fields(Config)}
+        unknown = set(doc) - set(kinds)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in doc.items():
+            # an int stands for a float as it is; a bool is no number here
+            allowed = (int, float) if kinds[key] is float else (int,)
+            if type(value) not in allowed:
+                raise ValueError(f"config key {key!r} must be {kinds[key].__name__}, "
+                                 f"got {type(value).__name__}")
         values.update(doc)
     cfg = Config(**values)
     if overrides:

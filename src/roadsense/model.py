@@ -8,14 +8,14 @@ acceleration, rad/s for angular rate, meters and m/s for GPS.
 
 A stream has two decoded forms. ``decode_jsonl_columns`` gives
 ``StreamColumns``, one numpy array per field, and ``encode_jsonl_columns``
-writes them back; the simulator, ``packstore.create_package``, validation
-and the whole analysis core (``timeline.align_streams``, ``kinematics``,
-``report``) work on these only. ``decode_jsonl_stream`` gives a list of
-records (``SensorSample``, ``GpsFix``, ``FrameRef``), which remain only
-in the public ``package.read_stream(s)`` API and ``TimeIndex`` (so in
-the ``query`` command); the record decoder is also the error oracle of
-the column decoder. Both accept and reject the same bytes, except that
-the columns also refuse an integer beyond int64.
+writes them back; the simulator, ``packstore.create_package``,
+validation, the ``query`` command and the whole analysis core
+(``timeline.align_streams``, ``kinematics``, ``report``) work on these
+only. ``decode_jsonl_stream`` gives a list of records (``SensorSample``,
+``GpsFix``, ``FrameRef``), which remain only in the public
+``package.read_stream(s)`` API; the record decoder is also the error
+oracle of the column decoder. Both accept and reject the same bytes,
+except that the columns also refuse an integer beyond int64.
 
 The records are immutable values whose invariants are checked at
 construction, and they are the one statement of those invariants: the
@@ -391,6 +391,13 @@ class StreamColumns:
 
     def __repr__(self) -> str:
         return f"StreamColumns({sorted(self.fields)}, n={len(self)})"
+
+
+def _first_not_increasing(v: np.ndarray) -> int | None:
+    """Position of the first value not above the one before it, or None:
+    the strict-order rule for a stream's ``t`` and a frame's ``index``."""
+    bad = np.flatnonzero(v[1:] <= v[:-1])  # compared, not subtracted: no overflow
+    return int(bad[0]) + 1 if bad.size else None
 
 
 # column kind per record field: "int" (int64 >= 0), "float" (finite),

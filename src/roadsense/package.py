@@ -17,9 +17,9 @@ blob tracked in the manifest with size and sha256.
 ``load_package`` validates a package and decodes each stream once into
 ``StreamColumns`` (numpy arrays per field); the checks run on those
 columns, and analysis reuses them. ``packstore.create_package`` runs the
-same checks on the columns it is given before it writes them.
-``read_stream``/``read_streams`` decode into records, the public API at
-the edges.
+same checks on the columns it is given before it writes them; ``query``
+runs the order check on the one stream it decodes. ``read_stream(s)``
+decode into records, for callers outside roadsense.
 
 The memo holds the sha256 of the manifest.json bytes whose streams passed
 every stream check (the manifest pins the stream bytes). ``create_package``
@@ -36,8 +36,6 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ParseError, ValidationError
 from .model import (
     FrameRef,
@@ -45,6 +43,7 @@ from .model import (
     PackageManifest,
     SensorSample,
     StreamColumns,
+    _first_not_increasing,
     decode_jsonl_columns,
     decode_jsonl_stream,
     parse_manifest,
@@ -163,11 +162,6 @@ class ValidationReport:
             lines.append(f"stream {s.name}: {'ok' if s.ok else s.detail or 'not monotonic'}")
         lines.extend(self.problems)
         return lines
-
-
-def _first_not_increasing(v: np.ndarray) -> int | None:
-    bad = np.flatnonzero(np.diff(v) <= 0)
-    return int(bad[0]) + 1 if bad.size else None
 
 
 def _check_monotonic(name: str, cols: StreamColumns) -> StreamCheck:

@@ -1,7 +1,7 @@
 """Time indexes and multi-rate stream alignment.
 
-A TimeIndex is a binary-searchable view over one timestamped stream of
-records; the ``query`` command and frame lookups by time use it.
+A TimeIndex binary-searches a stream's ``t`` column and returns row
+positions; the ``query`` command slices the decoded columns with them.
 ``align_streams`` works on decoded ``StreamColumns``: it extends the IMU
 sample columns with the GPS position and a speed estimate at each
 sample time.
@@ -9,53 +9,36 @@ sample time.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .geo import haversine
-from .model import StreamColumns
+from .model import StreamColumns, _first_not_increasing
 
 DEFAULT_GPS_MAX_GAP_MS = 5000  # bracketing fixes further apart fabricate nothing
 
 
 class TimeIndex:
-    """Immutable index over a stream with strictly increasing timestamps."""
+    """Index over a stream's strictly increasing int64 ``t`` column; lookups
+    return row positions, which index every column of the stream."""
 
-    def __init__(self, items: Sequence):
-        ts = np.asarray([item.t for item in items], dtype=np.int64)
-        if ts.size > 1:
-            bad = np.where(np.diff(ts) <= 0)[0]
-            if bad.size:
-                i = int(bad[0]) + 1
-                kind = "duplicate" if ts[i] == ts[i - 1] else "non-monotonic"
-                raise ValueError(
-                    f"{kind} timestamp at position {i} (t={int(ts[i])})"
-                )
+    def __init__(self, ts: np.ndarray):
+        ts = np.asarray(ts, dtype=np.int64)
+        i = _first_not_increasing(ts)
+        if i is not None:
+            kind = "duplicate" if ts[i] == ts[i - 1] else "non-monotonic"
+            raise ValueError(f"{kind} timestamp at position {i} (t={int(ts[i])})")
         self._ts = ts
-        self._items = list(items)
 
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def timestamps(self) -> np.ndarray:
-        return self._ts
-
-    @property
-    def items(self) -> list:
-        return self._items
-
-    def nearest(self, t: int, tol: int):
-        """Item minimizing |item.t - t| if that minimum <= tol, else None.
+    def nearest(self, t: int, tol: int) -> int | None:
+        """Position minimizing |ts[pos] - t| if that minimum <= tol, else None.
 
         Ties break toward the earlier timestamp.
         """
         j = int(self.nearest_positions(np.asarray([t], dtype=np.int64), tol)[0])
-        return self._items[j] if j >= 0 else None
+        return j if j >= 0 else None
 
     def nearest_positions(self, t: np.ndarray, tol: int) -> np.ndarray:
-        """For each query time, the position of the nearest item within
+        """For each query time, the position of the nearest timestamp within
         *tol* (ties toward the earlier one), or -1 where none is."""
         if tol < 0:
             raise ValueError(f"tol must be >= 0, got {tol}")
@@ -65,20 +48,21 @@ class TimeIndex:
         i = np.searchsorted(self._ts, t)
         left = np.maximum(i - 1, 0)
         right = np.minimum(i, n - 1)
-        d_left = np.where(i > 0, t - self._ts[left], np.iinfo(np.int64).max)
-        d_right = np.where(i < n, self._ts[right] - t, np.iinfo(np.int64).max)
-        take_right = d_right < d_left  # strict: ties keep the earlier item
+        u, far = t.astype(np.uint64), np.iinfo(np.uint64).max  # exact int64 distances
+        d_left = np.where(i > 0, u - self._ts[left].astype(np.uint64), far)
+        d_right = np.where(i < n, self._ts[right].astype(np.uint64) - u, far)
+        take_right = d_right < d_left  # strict: ties keep the earlier one
         best = np.where(take_right, right, left)
         dist = np.where(take_right, d_right, d_left)
-        return np.where(dist <= tol, best, -1)
+        return np.where(dist <= min(tol, far), best, -1)
 
-    def range(self, t0: int, t1: int) -> list:
-        """All items with t0 <= t <= t1, in time order."""
+    def range(self, t0: int, t1: int) -> slice:
+        """The positions with t0 <= ts[pos] <= t1, as a slice."""
         if t0 > t1:
             raise ValueError(f"t0 ({t0}) > t1 ({t1})")
         lo = int(np.searchsorted(self._ts, t0, side="left"))
         hi = int(np.searchsorted(self._ts, t1, side="right"))
-        return self._items[lo:hi]
+        return slice(lo, hi)
 
 
 def _bracket(ts: np.ndarray, t: np.ndarray, max_gap_ms: int):

@@ -179,6 +179,33 @@ def test_argument_errors_exit_2(tmp_path, capsys):
         main(["upload", "--package", "a", "--library", "b", "--endpoint", "x"])
 
 
+@pytest.mark.parametrize("flag, args", [
+    ("--at", ["--at", "99999999999999999999"]),
+    ("--tol", ["--at", "0", "--tol", str(2**63)]),
+    ("--range", ["--range", str(-(2**63) - 1), "0"]),
+    ("--range", ["--range", "0", str(2**70)]),
+])
+def test_query_times_beyond_int64_exit_2(tmp_path, capsys, flag, args):
+    with pytest.raises(SystemExit) as exc:
+        main(["query", "--package", str(tmp_path), *args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}" in err and "beyond the int64 range" in err
+    assert "Traceback" not in err
+
+
+def test_query_takes_the_int64_extremes(sim_lib, capsys):
+    _, pkg_dir, _, _ = sim_lib
+    lo, hi = str(-(2**63)), str(2**63 - 1)
+    # 2**63 ms from the first record: beyond any tolerance the flag takes
+    assert main(["query", "--package", str(pkg_dir), "--at", lo, "--tol", hi]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["query", "--package", str(pkg_dir), "--at", lo]) == 0
+    assert json.loads(capsys.readouterr().out)["t"] == 0
+    assert main(["query", "--package", str(pkg_dir), "--range", lo, hi]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 901
+
+
 def test_missing_paths_exit_3(tmp_path, capsys):
     assert main(["status", "--library", str(tmp_path / "void")]) == 3
     assert main(["query", "--package", str(tmp_path / "void"), "--at", "0"]) == 3

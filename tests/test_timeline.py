@@ -13,14 +13,6 @@ from roadsense.model import FrameRef, GpsFix, SensorSample, columns_from_records
 from roadsense.timeline import DEFAULT_GPS_MAX_GAP_MS, TimeIndex, align_streams
 
 
-class Stamp:
-    def __init__(self, t):
-        self.t = t
-
-    def __repr__(self):
-        return f"Stamp({self.t})"
-
-
 def oracle_nearest(ts, t, tol):
     """Linear scan; ties broken toward the earlier timestamp."""
     best = None
@@ -39,54 +31,82 @@ _ts_lists = st.lists(st.integers(min_value=0, max_value=10_000), min_size=0, max
 @settings(max_examples=200, deadline=None)
 @given(_ts_lists, st.integers(min_value=-100, max_value=10_100), st.integers(min_value=0, max_value=10_000))
 def test_nearest_matches_linear_scan(ts, t, tol):
-    idx = TimeIndex([Stamp(x) for x in ts])
-    got = idx.nearest(t, tol)
+    arr = np.asarray(ts, dtype=np.int64)
+    got = TimeIndex(arr).nearest(t, tol)
     want = oracle_nearest(ts, t, tol)
-    assert (got.t if got else None) == want
+    assert (int(arr[got]) if got is not None else None) == want
 
 
 @settings(max_examples=200, deadline=None)
 @given(_ts_lists, st.integers(min_value=-100, max_value=10_100), st.integers(min_value=0, max_value=2_000))
 def test_range_matches_linear_scan(ts, t0, width):
     t1 = t0 + width
-    idx = TimeIndex([Stamp(x) for x in ts])
-    got = [item.t for item in idx.range(t0, t1)]
+    arr = np.asarray(ts, dtype=np.int64)
+    got = arr[TimeIndex(arr).range(t0, t1)].tolist()
     assert got == [x for x in ts if t0 <= x <= t1]
 
 
 def test_randomized_queries_against_oracle():
     rng = random.Random(20260819)
     ts = sorted(rng.sample(range(0, 500_000), 4_000))
-    idx = TimeIndex([Stamp(x) for x in ts])
+    arr = np.asarray(ts, dtype=np.int64)
+    idx = TimeIndex(arr)
     for _ in range(2_000):
         t = rng.randint(-1_000, 501_000)
         tol = rng.randint(0, 5_000)
         got = idx.nearest(t, tol)
-        assert (got.t if got else None) == oracle_nearest(ts, t, tol)
+        assert (int(arr[got]) if got is not None else None) == oracle_nearest(ts, t, tol)
 
 
 def test_tie_breaks_toward_earlier():
-    idx = TimeIndex([Stamp(10), Stamp(20)])
-    assert idx.nearest(15, 100).t == 10
+    ts = np.array([10, 20], dtype=np.int64)
+    assert ts[TimeIndex(ts).nearest(15, 100)] == 10
 
 
 def test_nearest_validates_tol():
-    idx = TimeIndex([Stamp(0)])
+    idx = TimeIndex(np.array([0], dtype=np.int64))
     with pytest.raises(ValueError):
         idx.nearest(0, -1)
 
 
 def test_range_validates_order():
-    idx = TimeIndex([Stamp(0)])
+    idx = TimeIndex(np.array([0], dtype=np.int64))
     with pytest.raises(ValueError):
         idx.range(5, 4)
 
 
 def test_index_rejects_duplicates_and_disorder():
     with pytest.raises(ValueError, match="duplicate"):
-        TimeIndex([Stamp(1), Stamp(1)])
+        TimeIndex(np.array([1, 1], dtype=np.int64))
     with pytest.raises(ValueError, match="non-monotonic"):
-        TimeIndex([Stamp(2), Stamp(1)])
+        TimeIndex(np.array([2, 1], dtype=np.int64))
+    with pytest.raises(ValueError) as exc:
+        TimeIndex(np.array([0, 5, 9, 9], dtype=np.int64))
+    assert str(exc.value) == "duplicate timestamp at position 3 (t=9)"
+    with pytest.raises(ValueError) as exc:
+        TimeIndex(np.array([0, 5, 4], dtype=np.int64))
+    assert str(exc.value) == "non-monotonic timestamp at position 2 (t=4)"
+
+
+def test_range_is_a_slice_over_every_column():
+    ts = np.array([0, 10, 20, 30], dtype=np.int64)
+    files = ["a", "b", "c", "d"]
+    rows = TimeIndex(ts).range(5, 20)
+    assert rows == slice(1, 3)
+    assert ts[rows].tolist() == [10, 20] and files[rows] == ["b", "c"]
+    assert files[TimeIndex(ts).range(31, 40)] == []
+
+
+def test_nearest_distances_span_the_int64_range():
+    lo, hi = -(2**63), 2**63 - 1
+    idx = TimeIndex(np.array([0, 7], dtype=np.int64))
+    assert idx.nearest(lo, hi) is None  # 2**63 ms away, which int64 cannot hold
+    assert idx.nearest(lo, 2**63) == 0
+    assert idx.nearest(hi, hi - 7) == 1
+    assert idx.nearest(hi, hi - 8) is None
+    ends = TimeIndex(np.array([lo, hi], dtype=np.int64))
+    assert ends.nearest(0, hi) == 1 and ends.nearest(-1, hi) == 0
+    assert ends.nearest(-1, hi - 1) is None
 
 
 # -- alignment --------------------------------------------------------------------
@@ -149,7 +169,7 @@ def test_alignment_one_row_per_sample():
 def frame_positions(samples, frames, tol=50):
     """Position in *frames* of each sample's nearest frame within *tol*, or -1."""
     t = np.asarray([s.t for s in samples], dtype=np.int64)
-    return TimeIndex(frames).nearest_positions(t, tol).tolist()
+    return TimeIndex(np.asarray([f.t for f in frames], dtype=np.int64)).nearest_positions(t, tol).tolist()
 
 
 def test_alignment_frame_fanout_is_3_plus_minus_1():
