@@ -179,11 +179,11 @@ def cmd_pull(args) -> int:
             if partial.exists():
                 shutil.rmtree(partial)
             partial.mkdir()
+            for parent in sorted({(partial / blob.name).parent for blob in manifest.blobs}):
+                parent.mkdir(parents=True, exist_ok=True)
             for blob in manifest.blobs:
                 data = client.download_blob(manifest.package_id, blob.name)
-                dest = partial / blob.name
-                dest.parent.mkdir(parents=True, exist_ok=True)
-                dest.write_bytes(data)
+                (partial / blob.name).write_bytes(data)
             (partial / "manifest.json").write_bytes(
                 dumps_canonical(item["manifest"]) + b"\n"
             )

@@ -6,6 +6,7 @@ A JSON config file may override any field; CLI flags override the file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -31,7 +32,11 @@ class Config:
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> Config:
-    """Defaults, then file values, then explicit overrides (None skipped)."""
+    """Defaults, then file values, then explicit overrides (None skipped).
+
+    A NaN or infinite float, from the file or an override, is refused
+    with a ValueError naming its key.
+    """
     values = {}
     if path is not None:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -51,4 +56,8 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     cfg = Config(**values)
     if overrides:
         cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"config key {f.name!r} must be finite, got {value!r}")
     return cfg

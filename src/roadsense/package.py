@@ -10,8 +10,9 @@ Layout (fixed):
       frames/<NNNNNN>.jpg  # optional payloads
       upload_state.json    # sidecar, not a blob (see packstore)
       checked.sha256       # stream-check memo, not a blob (see below)
+      checked.columns      # column memo, not a blob (see below)
 
-Every file except manifest.json, upload_state.json and checked.sha256 is a
+Every file except manifest.json, upload_state.json and the two memos is a
 blob tracked in the manifest with size and sha256.
 
 ``load_package`` validates a package and decodes each stream once into
@@ -21,20 +22,37 @@ same checks on the columns it is given before it writes them; ``query``
 runs the order check on the one stream it decodes. ``read_stream(s)``
 decode into records, for callers outside roadsense.
 
-The memo holds the sha256 of the manifest.json bytes whose streams passed
-every stream check (the manifest pins the stream bytes). ``create_package``
-and a valid full pass write it. Only ``packstore.recover`` trusts it, to skip
-the decode, and only when every stream is a blob, no blob has a reserved
-name, every blob matches its size and sha256, and the memo equals the sha256
-of the manifest bytes just read. A lost or torn memo costs one decode.
+The stream-check memo holds the sha256 of the manifest.json bytes whose
+streams passed every stream check (the manifest pins the stream bytes).
+``create_package`` and a valid full pass write it. The column memo holds
+the decoded columns of those streams: a version line, a JSON line naming
+each field's dtype and length, each array's raw bytes and the frame
+``file`` list as JSON, and last ``sha256(memo_of(manifest bytes) +
+everything before it)``, which ties it to one manifest. Only a valid full
+pass writes it (not ``create_package``), and neither memo is rewritten
+while it is fresh. Both are written through a temp file and ``os.replace``
+without fsync; an OSError (a read-only mirror) is ignored.
+
+A memo is trusted only when every stream is a blob, no blob has a reserved
+name, every blob matches its size and sha256, and the stream-check memo
+equals the sha256 of the manifest bytes just read. ``packstore.recover``
+then skips the decode and never opens the column memo. ``report.analyze``
+then takes the columns from the column memo when its digest matches and
+its columns pass the decoder's shape, value and order checks; otherwise it
+decodes, and that valid pass writes the column memo again. ``roadsense
+validate`` always decodes. A lost, torn or stale memo costs one decode.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ParseError, ValidationError
 from .model import (
@@ -44,6 +62,8 @@ from .model import (
     SensorSample,
     StreamColumns,
     _first_not_increasing,
+    _shaped_columns,
+    _valid_columns,
     decode_jsonl_columns,
     decode_jsonl_stream,
     parse_manifest,
@@ -56,9 +76,14 @@ FRAMES_NAME = "frames.jsonl"
 UPLOAD_STATE_NAME = "upload_state.json"
 MEMO_NAME = "checked.sha256"
 _MEMO_TMP = MEMO_NAME + ".tmp"
+COLUMNS_NAME = "checked.columns"
+_COLUMNS_TMP = COLUMNS_NAME + ".tmp"
+_COLUMNS_VERSION = b"roadsense-columns 1\n"
 
 STREAM_NAMES = (SENSORS_NAME, GPS_NAME, FRAMES_NAME)
-RESERVED_NAMES = frozenset({MANIFEST_NAME, UPLOAD_STATE_NAME, MEMO_NAME, _MEMO_TMP})
+RESERVED_NAMES = frozenset(
+    {MANIFEST_NAME, UPLOAD_STATE_NAME, MEMO_NAME, _MEMO_TMP, COLUMNS_NAME, _COLUMNS_TMP}
+)
 
 _STREAM_TYPES = {
     SENSORS_NAME: SensorSample,
@@ -87,6 +112,94 @@ def write_memo(package_dir: Path, manifest_bytes: bytes) -> None:
         os.replace(package_dir / _MEMO_TMP, package_dir / MEMO_NAME)
     except OSError:
         pass
+
+
+def write_columns(package_dir: Path, manifest_bytes: bytes, streams) -> None:
+    """Replace the column memo with *streams*, the (samples, gps, frames)
+    columns of the manifest's streams, which passed every check.
+
+    The parts are hashed and written one at a time, never joined into one
+    payload. Without fsync; on an OSError (a read-only mirror) the temp
+    file is removed and the memo left as it was.
+    """
+    layout, parts = [], []
+    for cols in streams:
+        entry = []
+        for name, v in cols.fields.items():
+            if isinstance(v, list):
+                v = json.dumps(v).encode()
+                entry.append([name, "json", len(v)])
+            else:
+                entry.append([name, v.dtype.str, len(v)])
+            parts.append(v)
+        layout.append(entry)
+    head = _COLUMNS_VERSION + json.dumps(layout).encode()
+    head += b" " * (-(len(head) + 1) % 8) + b"\n"
+    digest = hashlib.sha256(memo_of(manifest_bytes))
+    tmp = package_dir / _COLUMNS_TMP
+    try:
+        with open(tmp, "wb") as f:
+            for part in (head, *parts):
+                # zero padding to a multiple of 8 bytes keeps every array aligned
+                for piece in (part, b"\0" * (-memoryview(part).nbytes % 8)):
+                    digest.update(piece)
+                    f.write(piece)
+            f.write(digest.digest())
+        os.replace(tmp, package_dir / COLUMNS_NAME)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+
+
+def read_columns(package_dir: Path, manifest_bytes: bytes):
+    """The (samples, gps, frames) ``StreamColumns`` held by a fresh column
+    memo, or None when it is missing, torn, made for other manifest bytes,
+    or holds columns that ``decode_jsonl_columns`` could not have given or
+    that fail the stream checks (shape, values, order)."""
+    try:
+        with open(package_dir / COLUMNS_NAME, "rb") as f:
+            buf = bytearray(os.fstat(f.fileno()).st_size)
+            if f.readinto(buf) != len(buf):
+                return None
+    except OSError:
+        return None
+    if len(buf) < 32:
+        return None
+    view = memoryview(buf)
+    digest = hashlib.sha256(memo_of(manifest_bytes))
+    digest.update(view[:-32])
+    if digest.digest() != buf[-32:]:
+        return None
+    streams = []
+    try:
+        if not buf.startswith(_COLUMNS_VERSION):
+            return None
+        pos = buf.index(b"\n", len(_COLUMNS_VERSION)) + 1
+        layout = json.loads(buf[len(_COLUMNS_VERSION):pos])
+        if len(layout) != len(STREAM_NAMES):
+            return None
+        for name, entry in zip(STREAM_NAMES, layout):
+            cols = {}
+            for field, dtype, count in entry:
+                if type(count) is not int or count < 0:
+                    return None
+                if dtype == "json":
+                    cols[field] = json.loads(bytes(view[pos:pos + count]))
+                    size = count
+                else:
+                    cols[field] = np.frombuffer(buf, np.dtype(dtype), count, pos)
+                    size = cols[field].nbytes
+                pos += size + -size % 8  # the writer's padding
+            record_cls = _STREAM_TYPES[name]
+            if not (_shaped_columns(cols, record_cls) and _valid_columns(cols, record_cls)):
+                return None
+            cols = StreamColumns(cols)
+            if not _check_monotonic(name, cols).ok:
+                return None
+            streams.append(cols)
+    except (ValueError, TypeError, OverflowError, RecursionError):
+        return None  # a layout or JSON that the writer never produces
+    return tuple(streams) if pos == len(buf) - 32 else None
 
 
 def read_manifest(package_dir: str | os.PathLike) -> PackageManifest:
@@ -193,14 +306,18 @@ def validate_package(package_dir: str | os.PathLike) -> ValidationReport:
     return load_package(package_dir)[0]
 
 
-def load_package(package_dir: str | os.PathLike, *, _trust_memo: bool = False):
+def load_package(
+    package_dir: str | os.PathLike, *, _trust_memo: bool = False, _columns_memo: bool = False
+):
     """Validate a package and read it in the same pass.
 
     Returns ``(report, manifest, columns)``: the validate_package report,
     the parsed manifest (None when unreadable) and the ``StreamColumns``
     of ``(samples, gps, frames)`` (None unless every stream file exists
     and decodes). Each stream is read and decoded once, and no records are
-    built. ``_trust_memo`` (for ``recover``) lets a fresh memo skip the decode.
+    built. ``_trust_memo`` (for ``recover``) lets a trusted memo skip the
+    decode, with no columns returned; ``_columns_memo`` (for ``analyze``)
+    takes the columns from a trusted, fresh column memo instead.
     """
     package_dir = Path(package_dir)
     if not package_dir.is_dir():
@@ -223,7 +340,7 @@ def load_package(package_dir: str | os.PathLike, *, _trust_memo: bool = False):
         fresh = (package_dir / MEMO_NAME).read_bytes() == memo_of(manifest_bytes)
     except OSError:
         fresh = False
-    trusted = _trust_memo and memo_applies and fresh
+    trusted = (_trust_memo or _columns_memo) and memo_applies and fresh
 
     report = ValidationReport(package_id=manifest.package_id)
     data = {}  # stream name -> its bytes, read once to hash and to decode
@@ -241,8 +358,10 @@ def load_package(package_dir: str | os.PathLike, *, _trust_memo: bool = False):
             blob.name, present=True, size_ok=size == blob.bytes, sha256_ok=sha == blob.sha256,
         ))
     if trusted and all(b.ok for b in report.blobs):
-        report.streams = [StreamCheck(name, monotonic_ok=True) for name in STREAM_NAMES]
-        return report, manifest, None
+        columns = read_columns(package_dir, manifest_bytes) if _columns_memo else None
+        if columns is not None or not _columns_memo:
+            report.streams = [StreamCheck(name, monotonic_ok=True) for name in STREAM_NAMES]
+            return report, manifest, columns
 
     streams = []
     for name in STREAM_NAMES:
@@ -257,7 +376,13 @@ def load_package(package_dir: str | os.PathLike, *, _trust_memo: bool = False):
             continue
         report.streams.append(_check_monotonic(name, cols))
         streams.append(cols)
-    if report.valid and memo_applies and not fresh:
-        write_memo(package_dir, manifest_bytes)
+    streams = tuple(streams) if len(streams) == len(STREAM_NAMES) else None
+    if report.valid and memo_applies:
+        if not fresh:
+            write_memo(package_dir, manifest_bytes)
+        # recover leaves the column memo alone; for analyze, a trusted pass
+        # that got here has just found it wanting
+        if not _trust_memo and (trusted or read_columns(package_dir, manifest_bytes) is None):
+            write_columns(package_dir, manifest_bytes, streams)
 
-    return report, manifest, tuple(streams) if len(streams) == len(STREAM_NAMES) else None
+    return report, manifest, streams

@@ -329,6 +329,7 @@ def recover(root: str | os.PathLike) -> LibraryIndex:
     stream-check memo is not trusted, with the same report. It is trusted
     when every stream is a blob, no blob has a reserved name, every blob
     matches its size and sha256, and it equals the manifest bytes' sha256.
+    The column memo is never opened: recover neither reads nor writes it.
     """
     root = Path(root)
     if not root.is_dir():

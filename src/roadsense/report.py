@@ -151,6 +151,11 @@ def analyze(package_dir, route=None, reference=None, config: Config | None = Non
     ``route`` may be a Polyline or a GeoJSON source; ``reference`` a
     ReferenceIriRecord list or a CSV source. Reference without route is
     an argument error: joining needs chainage.
+
+    The package is hashed blob by blob on every call. Its streams are
+    decoded only when its memos are not trusted (see ``package``): a
+    warm package hands over the columns its column memo holds, and a cold
+    one is decoded and gets a fresh column memo.
     """
     cfg = config or Config()
     if reference is not None and route is None:
@@ -161,7 +166,7 @@ def analyze(package_dir, route=None, reference=None, config: Config | None = Non
     if cfg.frame_tol_ms < 0:
         raise ValueError(f"frame_tol_ms must be >= 0, got {cfg.frame_tol_ms}")
 
-    check, manifest, streams = load_package(package_dir)
+    check, manifest, streams = load_package(package_dir, _columns_memo=True)
     if not check.valid:
         raise ValidationError(
             "package failed validation: " + "; ".join(check.summary_lines()),

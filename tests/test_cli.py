@@ -3,6 +3,7 @@
 import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -390,6 +391,27 @@ def test_interrupted_pull_resumes_to_a_valid_mirror(server, tmp_path, monkeypatc
 
     assert main(["pull", "--endpoint", server.base_url, "--out", str(pulled)]) == 0
     assert "exists, skipped" in capsys.readouterr().out
+
+
+def test_pull_makes_each_blob_directory_once(server, tmp_path, monkeypatch):
+    scenario = default_scenario(35, duration_s=10.0, frame_rate_fps=1, frame_bytes=64)
+    pkg_dir, manifest, _ = write_package(scenario, tmp_path / "lib")
+    assert sum(b.name.startswith("frames/") for b in manifest.blobs) > 1
+    assert main(["upload", "--package", str(pkg_dir), "--endpoint", server.base_url]) == 0
+    made = []
+    real_mkdir = Path.mkdir
+
+    def counting_mkdir(self, *args, **kwargs):
+        made.append(self.name)
+        return real_mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+    assert main(["pull", "--endpoint", server.base_url, "--out", str(tmp_path / "pulled")]) == 0
+    assert made.count("frames") == 1
+    mirror = tmp_path / "pulled" / pkg_dir.name
+    for blob in manifest.blobs:
+        served = server.registry.read_blob(manifest.package_id, blob.name)
+        assert (mirror / blob.name).read_bytes() == served
 
 
 def test_upload_library_names_a_package_left_failed(server, tmp_path, capsys):

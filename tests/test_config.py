@@ -67,3 +67,38 @@ def test_analyze_with_a_wrongly_typed_config_exits_2(tmp_path, capsys):
                "--config", str(path)])
     assert rc == 2
     assert "argument error: config key 'spike_k' must be float, got str" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, text", [("segment_len_m", "1e999"), ("spike_k", "NaN"),
+                                       ("backoff_cap_s", "-Infinity")])
+def test_a_non_finite_float_in_the_file_is_refused(tmp_path, key, text):
+    path = tmp_path / "c.json"
+    path.write_text(f'{{"{key}": {text}}}')  # json reads these as inf, nan and -inf
+    with pytest.raises(ValueError, match=f"config key '{key}' must be finite"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_a_non_finite_override_is_refused(value):
+    with pytest.raises(ValueError, match="config key 'spike_k' must be finite"):
+        load_config(None, {"spike_k": value})
+
+
+@pytest.mark.parametrize("flags", [
+    ["--spike-k", "nan"],
+    ["--segment-len-m", "inf"],
+    ["--config", "c.json"],  # {"segment_len_m": 1e999}
+])
+def test_analyze_refuses_a_non_finite_float_before_any_work(tmp_path, monkeypatch, capsys, flags):
+    from roadsense.drivesim import default_scenario, write_package
+
+    pkg_dir = write_package(default_scenario(7, duration_s=10.0), tmp_path / "lib")[0]
+    (tmp_path / "c.json").write_text('{"segment_len_m": 1e999}')
+    monkeypatch.chdir(tmp_path)
+    read = []
+    monkeypatch.setattr("roadsense.report.load_package", lambda *a, **k: read.append(a))
+    rc = main(["analyze", "--package", str(pkg_dir), "--out", str(tmp_path / "out"), *flags])
+    assert rc == 2
+    key = "spike_k" if "--spike-k" in flags else "segment_len_m"
+    assert f"argument error: config key '{key}' must be finite" in capsys.readouterr().err
+    assert read == [] and not (tmp_path / "out").exists()

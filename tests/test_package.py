@@ -6,6 +6,7 @@ import json
 import os
 import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,16 +35,19 @@ from roadsense.package import (
     SENSORS_NAME,
     STREAM_NAMES,
     UPLOAD_STATE_NAME,
+    COLUMNS_NAME,
     BlobCheck,
     StreamCheck,
     ValidationReport,
     load_package,
     memo_of,
     read_manifest,
+    read_columns,
     read_stream,
     read_streams,
     sha256_file,
     validate_package,
+    write_columns,
 )
 from roadsense.packstore import create_package
 
@@ -228,7 +232,8 @@ def test_create_rejects_columns_the_decoder_never_gives(tmp_path, case):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("name", [SENSORS_NAME, MANIFEST_NAME, UPLOAD_STATE_NAME, MEMO_NAME])
+@pytest.mark.parametrize("name", [SENSORS_NAME, MANIFEST_NAME, UPLOAD_STATE_NAME, MEMO_NAME,
+                                  COLUMNS_NAME])
 def test_create_rejects_an_extra_blob_named_like_a_package_file(tmp_path, name):
     with pytest.raises(ValidationError, match="extra blobs may not be named"):
         create_package(tmp_path, columns_from_records(make_samples(2), SensorSample),
@@ -435,10 +440,10 @@ path_part = st.text(min_size=1, max_size=4).filter(lambda p: "/" not in p and "\
 frame_file = st.lists(path_part, min_size=1, max_size=2).map("/".join)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_every_package_create_package_accepts_passes_a_full_validation(data):
-    draw = data.draw
+@st.composite
+def stream_records(draw):
+    """(samples, gps, frames) records, up to four of each, ordered as a
+    recorder writes them in most draws."""
 
     def times(n):
         # strictly increasing in three draws of four, as a recorder writes them,
@@ -459,13 +464,23 @@ def test_every_package_create_package_accepts_passes_a_full_validation(data):
     ]
     n = draw(st.integers(0, 4))
     frames = [FrameRef(t, i, draw(frame_file)) for t, i in zip(times(n), times(n))]
-    names = st.sampled_from(["frames/000000.jpg", "notes.txt", MEMO_NAME, GPS_NAME, MANIFEST_NAME])
-    extra = draw(st.dictionaries(names, st.binary(max_size=8), max_size=2))
+    return samples, gps, frames
+
+
+def stream_columns(records):
+    """The columns of stream_records' streams; ValidationError past int64."""
+    return [columns_from_records(r, cls) for r, cls in zip(records, (SensorSample, GpsFix, FrameRef))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream_records(), st.data())
+def test_every_package_create_package_accepts_passes_a_full_validation(records, data):
+    names = st.sampled_from(["frames/000000.jpg", "notes.txt", MEMO_NAME, COLUMNS_NAME, GPS_NAME,
+                             MANIFEST_NAME])
+    extra = data.draw(st.dictionaries(names, st.binary(max_size=8), max_size=2))
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            pkg_dir, _ = create_package(tmp, columns_from_records(samples, SensorSample),
-                                        columns_from_records(gps, GpsFix),
-                                        columns_from_records(frames, FrameRef), device_id="d",
+            pkg_dir, _ = create_package(tmp, *stream_columns(records), device_id="d",
                                         started_at_ms=0, ended_at_ms=1, extra_blobs=extra)
         except ValidationError:
             assert os.listdir(tmp) == []
@@ -542,9 +557,10 @@ def test_an_invalid_package_gets_no_memo(tmp_path):
     assert not (pkg_dir / MEMO_NAME).exists()
 
 
-@pytest.mark.parametrize("change", ["no frames blob", MEMO_NAME, MEMO_NAME + ".tmp"])
+@pytest.mark.parametrize("change", ["no frames blob", MEMO_NAME, MEMO_NAME + ".tmp",
+                                    COLUMNS_NAME, COLUMNS_NAME + ".tmp"])
 def test_a_memo_is_never_trusted_for_an_odd_manifest(tmp_path, decodes, change):
-    """A manifest without a stream blob, or with a blob named like the memo
+    """A manifest without a stream blob, or with a blob named like a memo
     or its temp file, is always decoded, and such a blob is never overwritten."""
     pkg_dir, _ = write_pkg(tmp_path)
     doc = json.loads((pkg_dir / MANIFEST_NAME).read_bytes())
@@ -557,12 +573,13 @@ def test_a_memo_is_never_trusted_for_an_odd_manifest(tmp_path, decodes, change):
     resign_manifest(pkg_dir)
     if change == "no frames blob":
         (pkg_dir / MEMO_NAME).write_bytes(memo_of((pkg_dir / MANIFEST_NAME).read_bytes()))
-    for _ in range(2):
-        report = load_package(pkg_dir, _trust_memo=True)[0]
+    for trust in ({"_trust_memo": True}, {"_columns_memo": True}) * 2:
+        report = load_package(pkg_dir, **trust)[0]
         assert report.valid and decodes == list(STREAM_NAMES)
         decodes.clear()
     if change != "no frames blob":
         assert (pkg_dir / change).read_bytes() == b"a blob\n"
+    assert change == COLUMNS_NAME or not (pkg_dir / COLUMNS_NAME).exists()
 
 
 def test_validate_works_on_a_read_only_package(tmp_path, monkeypatch):
@@ -589,3 +606,175 @@ def test_roadsense_validate_decodes_even_with_a_fresh_memo(tmp_path, decodes, ca
     assert cli.main(["validate", "--package", str(pkg_dir)]) == 0
     assert decodes == list(STREAM_NAMES)
     assert capsys.readouterr().out == f"{manifest.package_id}: valid\n"
+
+
+# -- the column memo -------------------------------------------------------------
+
+
+def assert_same_columns(got, want):
+    assert len(got) == len(want) == len(STREAM_NAMES)
+    for g, w in zip(got, want):
+        assert g.fields.keys() == w.fields.keys()
+        for name, v in w.fields.items():
+            if isinstance(v, list):
+                assert type(g[name]) is list and g[name] == v
+            else:
+                assert g[name].dtype == v.dtype
+                np.testing.assert_array_equal(g[name], v)
+
+
+def test_a_valid_full_pass_writes_the_column_memo_and_create_package_does_not(tmp_path, decodes):
+    pkg_dir, manifest = write_pkg(tmp_path)
+    assert not (pkg_dir / COLUMNS_NAME).exists()
+    assert COLUMNS_NAME not in {b.name for b in manifest.blobs}
+    _, _, want = load_package(pkg_dir)
+    manifest_bytes = (pkg_dir / MANIFEST_NAME).read_bytes()
+    assert_same_columns(read_columns(pkg_dir, manifest_bytes), want)
+    decodes.clear()
+    report, _, got = load_package(pkg_dir, _columns_memo=True)
+    assert decodes == [] and report.valid
+    assert report.summary_lines() == validate_package(pkg_dir).summary_lines()
+    assert_same_columns(got, want)
+    assert all(v.flags.writeable for cols in got for v in cols.fields.values()
+               if isinstance(v, np.ndarray))
+    assert sorted(p.name for p in pkg_dir.iterdir()) == sorted(
+        [COLUMNS_NAME, MEMO_NAME, MANIFEST_NAME, UPLOAD_STATE_NAME, *STREAM_NAMES])
+
+
+def test_a_fresh_column_memo_is_not_rewritten(tmp_path):
+    pkg_dir, _ = write_pkg(tmp_path)
+    validate_package(pkg_dir)
+    written = (pkg_dir / COLUMNS_NAME).stat().st_mtime_ns
+    for _ in range(2):
+        assert validate_package(pkg_dir).valid
+        assert load_package(pkg_dir, _columns_memo=True)[0].valid
+    assert (pkg_dir / COLUMNS_NAME).stat().st_mtime_ns == written
+
+
+def _crafted(change):
+    """A damage that rewrites the column memo with a valid trailer over
+    columns that ``change`` edits in place."""
+
+    def damage(pkg_dir, memo, other):
+        streams = load_package(pkg_dir)[2]
+        change(streams[0].fields)
+        write_columns(pkg_dir, (pkg_dir / MANIFEST_NAME).read_bytes(), streams)
+    return damage
+
+
+def _flip_a_payload_bit(pkg_dir, memo, other):
+    data = bytearray(memo.read_bytes())
+    data[len(data) // 2] ^= 0x10
+    memo.write_bytes(bytes(data))
+
+
+COLUMN_MEMO_DAMAGE = {
+    "missing": lambda pkg_dir, memo, other: memo.unlink(),
+    "torn": lambda pkg_dir, memo, other: memo.write_bytes(memo.read_bytes()[:1000]),
+    "empty": lambda pkg_dir, memo, other: memo.write_bytes(b""),
+    "a flipped payload bit": _flip_a_payload_bit,
+    "made for another manifest": lambda pkg_dir, memo, other: memo.write_bytes(other),
+    "non-monotonic t": _crafted(lambda cols: cols["t"].__setitem__(slice(1, 3), cols["t"][2:0:-1])),
+    "a wrong dtype": _crafted(lambda cols: cols.__setitem__("ax", cols["ax"].astype(np.float32))),
+    "a short column": _crafted(lambda cols: cols.__setitem__("ax", cols["ax"][:-1])),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(COLUMN_MEMO_DAMAGE))
+def test_a_column_memo_that_is_not_fresh_means_a_full_decode(tmp_path, decodes, damage):
+    pkg_dir, _ = write_pkg(tmp_path / "a")
+    other_dir, _ = write_pkg(tmp_path / "b", n=31)
+    want_report, _, want = load_package(pkg_dir)
+    validate_package(other_dir)
+    memo = pkg_dir / COLUMNS_NAME
+    COLUMN_MEMO_DAMAGE[damage](pkg_dir, memo, (other_dir / COLUMNS_NAME).read_bytes())
+    decodes.clear()
+    report, _, got = load_package(pkg_dir, _columns_memo=True)
+    assert decodes == list(STREAM_NAMES)
+    assert report.valid and report.summary_lines() == want_report.summary_lines()
+    assert_same_columns(got, want)
+    # that valid pass wrote the column memo again, so the next one decodes nothing
+    assert_same_columns(read_columns(pkg_dir, (pkg_dir / MANIFEST_NAME).read_bytes()), want)
+    decodes.clear()
+    report, _, got = load_package(pkg_dir, _columns_memo=True)
+    assert decodes == [] and report.summary_lines() == want_report.summary_lines()
+    assert_same_columns(got, want)
+    assert not (pkg_dir / (COLUMNS_NAME + ".tmp")).exists()
+
+
+def test_a_stale_stream_check_memo_means_a_full_decode_for_analyze_too(tmp_path, decodes):
+    pkg_dir, _ = write_pkg(tmp_path)
+    validate_package(pkg_dir)  # a fresh column memo
+    (pkg_dir / MEMO_NAME).write_bytes(b"stale\n")
+    decodes.clear()
+    assert load_package(pkg_dir, _columns_memo=True)[0].valid
+    assert decodes == list(STREAM_NAMES)
+    assert (pkg_dir / MEMO_NAME).read_bytes() == memo_of((pkg_dir / MANIFEST_NAME).read_bytes())
+
+
+def test_a_bad_blob_is_reported_despite_fresh_memos(tmp_path):
+    pkg_dir, _ = write_pkg(tmp_path)
+    want = validate_package(pkg_dir).summary_lines()
+    path = pkg_dir / GPS_NAME
+    path.write_bytes(path.read_bytes().replace(b"200.0", b"201.0", 1))
+    report, _, _ = load_package(pkg_dir, _columns_memo=True)
+    assert not report.valid
+    assert report.summary_lines() == validate_package(pkg_dir).summary_lines() != want
+
+
+def test_analyze_works_on_a_read_only_package_and_writes_nothing(tmp_path, monkeypatch, decodes):
+    from roadsense.report import analyze
+
+    pkg_dir, _ = write_pkg(tmp_path)
+    want = analyze(pkg_dir)
+    (pkg_dir / COLUMNS_NAME).unlink()
+    before = {p.name: p.read_bytes() for p in pkg_dir.iterdir()}
+
+    def read_only(*args, **kwargs):
+        raise OSError(errno.EROFS, "Read-only file system")
+
+    # a mode bit does not stop root, so the rename fails too, as on a read-only mount
+    monkeypatch.setattr(os, "replace", read_only)
+    pkg_dir.chmod(0o555)
+    try:
+        for _ in range(2):
+            decodes.clear()
+            got = analyze(pkg_dir)
+            assert decodes == list(STREAM_NAMES)
+            assert (got.package_id, got.events, got.segments) == (
+                want.package_id, want.events, want.segments)
+    finally:
+        pkg_dir.chmod(0o755)
+    assert {p.name: p.read_bytes() for p in pkg_dir.iterdir()} == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream_records())
+def test_warm_analyze_gives_the_cold_report_bytes(records):
+    from roadsense.drivesim import default_route
+    from roadsense.report import analyze, emit_report
+
+    try:
+        streams = stream_columns(records)
+    except ValidationError:
+        return  # a time past int64 has no columns
+
+    def outcome(pkg_dir, out):
+        try:
+            with np.errstate(all="ignore"):  # extreme drawn values overflow the plot scale
+                emit_report(analyze(pkg_dir, route=default_route()), out)
+        except Exception as e:  # noqa: BLE001 - must fail the same way warm and cold
+            return type(e), str(e)
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        try:
+            pkg_dir, _ = create_package(tmp / "lib", *streams, device_id="d",
+                                        started_at_ms=0, ended_at_ms=1)
+        except ValidationError:
+            return
+        cold = outcome(pkg_dir, tmp / "cold")
+        assert (pkg_dir / COLUMNS_NAME).is_file()
+        assert_same_columns(load_package(pkg_dir, _columns_memo=True)[2], load_package(pkg_dir)[2])
+        assert outcome(pkg_dir, tmp / "warm") == cold

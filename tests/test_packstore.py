@@ -219,6 +219,27 @@ def test_recover_reports_the_same_with_and_without_the_memo(tmp_path, decodes):
     assert all((d / package.MEMO_NAME).is_file() for d in dirs)  # written again
 
 
+def test_recover_never_reads_or_writes_the_column_memo(tmp_path, monkeypatch, decodes):
+    warm, cold, odd = (build_package(tmp_path)[0] for _ in range(3))
+    for d in (warm, cold, odd):
+        assert package.validate_package(d).valid  # a fresh column memo
+    (cold / package.MEMO_NAME).unlink()
+    (cold / package.COLUMNS_NAME).unlink()
+    (odd / package.COLUMNS_NAME).write_bytes(b"not a column memo")
+
+    def untouchable(*args):
+        raise AssertionError("recover touched the column memo")
+
+    monkeypatch.setattr(package, "read_columns", untouchable)
+    monkeypatch.setattr(package, "write_columns", untouchable)
+    decodes.clear()
+    index = recover(tmp_path)
+    assert all(entry.ok for entry in index) and len(index.entries) == 3
+    assert decodes == list(package.STREAM_NAMES)  # only the cold package
+    assert not (cold / package.COLUMNS_NAME).exists()
+    assert (odd / package.COLUMNS_NAME).read_bytes() == b"not a column memo"
+
+
 def test_recover_decodes_a_stream_edited_out_of_order(tmp_path, decodes):
     pkg_dir, manifest = build_package(tmp_path)
     samples = make_samples(6)

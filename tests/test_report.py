@@ -230,6 +230,17 @@ def test_fixed_drive_report_bytes_are_pinned(fixed_drive, tmp_path):
     assert got == FIXED_DRIVE_DIGESTS
 
 
+def test_fixed_drive_report_bytes_are_the_same_cold_and_warm(fixed_drive, tmp_path, decodes):
+    pkg_dir, route, ref = fixed_drive
+    (pkg_dir / package.COLUMNS_NAME).unlink(missing_ok=True)
+    for run in ("cold", "warm"):
+        decodes.clear()
+        emit_report(analyze(pkg_dir, route=route, reference=ref), tmp_path / run)
+        assert decodes == (list(package.STREAM_NAMES) if run == "cold" else [])
+    for name in EXPECTED_FILES:
+        assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
+
+
 # sha256 of every report file for seed 3, 120 s, analyzed without a route,
 # recorded before trace.geojson was built from snap columns
 UNROUTED_DRIVE_DIGESTS = {
@@ -294,6 +305,7 @@ def test_routed_analyze_keeps_one_snap_entry_per_fix(fixed_drive):
 
 def test_routed_analyze_decodes_and_snaps_once(fixed_drive, monkeypatch):
     pkg_dir, route, ref = fixed_drive
+    (pkg_dir / package.COLUMNS_NAME).unlink(missing_ok=True)  # cold, whatever ran before
     decoded, record_decodes, snapped = [], [], []
     decode, record_decode = package.decode_jsonl_columns, model.decode_jsonl_stream
     snap_many = Polyline.snap_many
@@ -316,6 +328,23 @@ def test_routed_analyze_decodes_and_snaps_once(fixed_drive, monkeypatch):
     monkeypatch.setattr(Polyline, "snap_many", counting_snap)
     analyze(pkg_dir, route=route, reference=ref)
     assert sorted(decoded) == sorted(package.STREAM_NAMES)
+    assert record_decodes == []
+    assert len(snapped) == 1
+
+
+def test_warm_routed_analyze_decodes_nothing_and_snaps_once(fixed_drive, monkeypatch, decodes):
+    pkg_dir, route, ref = fixed_drive
+    analyze(pkg_dir, route=route, reference=ref)  # leaves a fresh column memo
+    decodes.clear()
+    record_decodes, snapped = [], []
+    record_decode, snap_many = model.decode_jsonl_stream, Polyline.snap_many
+    for mod in (package, model):
+        monkeypatch.setattr(mod, "decode_jsonl_stream",
+                            lambda *a: record_decodes.append(a[2]) or record_decode(*a))
+    monkeypatch.setattr(Polyline, "snap_many",
+                        lambda self, points: snapped.append(len(points)) or snap_many(self, points))
+    analyze(pkg_dir, route=route, reference=ref)
+    assert decodes == []
     assert record_decodes == []
     assert len(snapped) == 1
 
