@@ -22,6 +22,7 @@ the lowest segment index either way, so the grid changes no result.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import json
@@ -431,11 +432,17 @@ def join_reference(segments, refs: Sequence[ReferenceIriRecord]):
                 f"[{b.begin_log_m}, {b.end_log_m})",
                 field="refs",
             )
+    # the records do not overlap, so their ends ascend like their begins:
+    # a segment visits only the records from the first one ending past its
+    # start up to the last one beginning before its end, in the same order
+    ends = [r.end_log_m for r in ordered]
     out = []
     for seg in segments:
         covered = 0.0
         weighted = 0.0
-        for ref in ordered:
+        for ref in ordered[bisect.bisect_right(ends, seg.chainage_start_m):]:
+            if ref.begin_log_m >= seg.chainage_end_m:
+                break
             lo = max(seg.chainage_start_m, ref.begin_log_m)
             hi = min(seg.chainage_end_m, ref.end_log_m)
             if hi > lo:

@@ -16,7 +16,7 @@ clean impulse on a noiseless channel is still a spike).
 
 The rolling median and MAD are batched per window width: samples whose
 windows hold the same number of samples are gathered into one
-(rows x width) matrix, at most about a million values at a time, sorted
+(rows x width) matrix, at most about 64 Ki values at a time, sorted
 once along its rows, and read at the middle: the middle element for an
 odd width, ``(a + b) / 2`` of the two middle ones for an even width. The
 MAD is read the same way off the sorted ``|window - median|``. This is
@@ -52,7 +52,12 @@ DEFAULT_MERGE_GAP_MS = 300
 DEFAULT_MIN_RUN = 2          # consecutive supra-threshold samples per axis
 DEFAULT_SEGMENT_LEN_M = 160.9  # 0.1 mile, matching mile-log conventions
 
-_GATHER_ELEMS = 1 << 20  # values per gathered window matrix in robust_scores
+# values per gathered window matrix in robust_scores. A block makes three
+# matrices of this size (the int64 gather index, the windows and their
+# spreads), 512 KiB each at 64 Ki values, so all three fit a 2 MiB per-core
+# L2 cache; blocks of 1 Mi values (8 MiB each) spent most of their time
+# moving data through memory. The scores do not depend on the block size.
+_GATHER_ELEMS = 1 << 16
 
 ACCEL_CHANNELS = {"x": "ax", "y": "ay", "z": "az"}
 

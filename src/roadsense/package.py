@@ -106,12 +106,15 @@ def memo_of(manifest_bytes: bytes) -> bytes:
 
 
 def write_memo(package_dir: Path, manifest_bytes: bytes) -> None:
-    """Replace the memo, without fsync; an OSError (a read-only mirror) is ignored."""
+    """Replace the memo, without fsync; on an OSError (a read-only mirror)
+    the temp file is removed and the memo left as it was."""
+    tmp = package_dir / _MEMO_TMP
     try:
-        (package_dir / _MEMO_TMP).write_bytes(memo_of(manifest_bytes))
-        os.replace(package_dir / _MEMO_TMP, package_dir / MEMO_NAME)
+        tmp.write_bytes(memo_of(manifest_bytes))
+        os.replace(tmp, package_dir / MEMO_NAME)
     except OSError:
-        pass
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 def write_columns(package_dir: Path, manifest_bytes: bytes, streams) -> None:

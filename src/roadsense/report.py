@@ -11,6 +11,7 @@ inputs produce identical bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -274,8 +275,79 @@ def _f(v: float) -> str:
     return format(v, ".2f")
 
 
+def _fixed2(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``format(x, ".2f")`` of every element of the float64 *v*, as a uint8 matrix.
+
+    Row i holds the ASCII text of ``v[i]`` right-aligned, with 0 bytes as
+    blanks. The digits are those of ``k = rint(v * 100)``, which are the
+    correctly rounded hundredths ``format`` prints only when ``v * 100``
+    is close to exact and not close to a rounding tie. The second result
+    marks the rows where that holds; the other rows are left blank.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = v * 100.0
+        # below 1e8 the error of v * 100 is under 2e-6, far inside the 1e-4
+        # margin kept from a tie; NaN and inf fail both tests
+        exact = (np.abs(v) < 1e8) & (np.abs(y - np.floor(y) - 0.5) >= 1e-4)
+    k = np.abs(np.rint(np.where(exact, y, 0.0))).astype(np.int64)
+    q = k // 100
+    ndig = len(str(int(q.max()))) if q.size else 1
+    cells = np.zeros((v.size, ndig + 4), np.uint8)
+    # format keeps the sign of a negative value that rounds to zero
+    cells[:, 0] = np.where(np.signbit(v), ord("-"), 0)
+    for i in range(ndig):
+        p = 10 ** (ndig - 1 - i)
+        digit = q // p % 10 + ord("0")
+        # leading zeros of the integer part stay blank, its last digit does not
+        cells[:, 1 + i] = digit if p == 1 else np.where(q >= p, digit, 0)
+    cells[:, ndig + 1] = ord(".")
+    cells[:, ndig + 2] = k // 10 % 10 + ord("0")
+    cells[:, ndig + 3] = k % 10 + ord("0")
+    cells[~exact] = 0
+    return cells, exact
+
+
+def _polyline_points(xs: np.ndarray, series) -> list[str]:
+    """``" ".join(map("{:.2f},{:.2f}".format, xs, ys))`` for each float64
+    array ys in *series*, with the shared float64 xs formatted once.
+
+    Points whose x or y ``_fixed2`` leaves blank are formatted by
+    ``format`` and put back in their places, so the text equals the
+    ``format`` one for every float.
+    """
+    x_cells, x_exact = _fixed2(xs)
+    comma = np.full((xs.size, 1), ord(","), np.uint8)
+    space = np.full((xs.size, 1), ord(" "), np.uint8)
+    out = []
+    for ys in series:
+        y_cells, y_exact = _fixed2(ys)
+        rows = np.hstack((x_cells, comma, y_cells, space))
+        slow = np.flatnonzero(~(x_exact & y_exact))
+        # a row that needs format is left as one \x01 to split at
+        rows[slow] = 0
+        rows[slow, 0] = 1
+        text = rows.tobytes().translate(None, b"\0").decode("ascii")
+        if slow.size:
+            fill = [f"{x:.2f},{y:.2f} " for x, y in zip(xs[slow].tolist(), ys[slow].tolist())]
+            text = "".join(s for pair in zip(text.split("\x01"), fill + [""]) for s in pair)
+        out.append(text[:-1])
+    return out
+
+
 _AXIS_COLORS = (("ax", "#d62728"), ("ay", "#2ca02c"), ("az", "#1f77b4"))
 _EVENT_FILL = {EventKind.POTHOLE: "#d6272822", EventKind.STEERING: "#ff7f0e22"}
+
+
+def _accel_range(raw: list) -> tuple[tuple, float, float]:
+    """The ax, ay, az series as plotted and the padded range of all three."""
+    ax, ay, az = raw
+    series = (ax, ay, az - az.mean())  # remove gravity so one scale fits all three
+    lo = min(float(v.min()) for v in series)
+    hi = max(float(v.max()) for v in series)
+    if hi - lo < 1e-9:
+        lo, hi = lo - 1.0, hi + 1.0
+    pad = 0.05 * (hi - lo)
+    return series, lo - pad, hi + pad
 
 
 def _accel_svg(report: AnalysisReport) -> str:
@@ -297,18 +369,14 @@ def _accel_svg(report: AnalysisReport) -> str:
     t = samples["t"].astype(float)
     t0, t1 = float(t[0]), float(t[-1])
     t_span = (t1 - t0) or 1.0
-    az = samples["az"]
-    series = {
-        "ax": samples["ax"],
-        "ay": samples["ay"],
-        "az": az - az.mean(),  # remove gravity so one scale fits all three
-    }
-    lo = min(float(v.min()) for v in series.values())
-    hi = max(float(v.max()) for v in series.values())
-    if hi - lo < 1e-9:
-        lo, hi = lo - 1.0, hi + 1.0
-    pad = 0.05 * (hi - lo)
-    lo, hi = lo - pad, hi + pad
+    raw = [samples[name] for name, _ in _AXIS_COLORS]
+    with np.errstate(over="ignore", invalid="ignore"):
+        series, lo, hi = _accel_range(raw)
+    if not 0.0 < hi - lo < math.inf:
+        # channels near the float limit overflow the mean or the span; a
+        # power-of-two scale keeps every ratio, so the plot stays the same
+        e = max(math.frexp(float(np.abs(v).max()))[1] for v in raw)
+        series, lo, hi = _accel_range([np.ldexp(v, -e) for v in raw])
 
     # sx and sy map scalars and numpy arrays alike, with one operation order
     def sx(tv):
@@ -330,9 +398,8 @@ def _accel_svg(report: AnalysisReport) -> str:
         f'<line x1="{_f(left)}" y1="{_f(sy(0.0))}" x2="{_f(left + plot_w)}" y2="{_f(sy(0.0))}" '
         f'stroke="#cccccc" stroke-width="1"/>'
     )
-    xs = sx(t).tolist()
-    for name, color in _AXIS_COLORS:
-        pts = " ".join(map("{:.2f},{:.2f}".format, xs, sy(series[name]).tolist()))
+    points = _polyline_points(sx(t), [sy(v) for v in series])
+    for (_, color), pts in zip(_AXIS_COLORS, points):
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1"/>'
         )

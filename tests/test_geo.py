@@ -552,6 +552,55 @@ def test_join_constant_iri_is_conserved():
         assert s.reference_iri == pytest.approx(2.5, abs=1e-12)
 
 
+def double_loop_join(segments, refs):
+    """Every reference row against every segment, in begin order."""
+    ordered = sorted(refs, key=lambda r: r.begin_log_m)
+    out = []
+    for s in segments:
+        covered = weighted = 0.0
+        for r in ordered:
+            lo = max(s.chainage_start_m, r.begin_log_m)
+            hi = min(s.chainage_end_m, r.end_log_m)
+            if hi > lo:
+                covered += hi - lo
+                weighted += (hi - lo) * r.iri_value
+        out.append(s.with_reference_iri(weighted / covered if covered > 0.0 else None))
+    return out
+
+
+@st.composite
+def refs_and_segments(draw):
+    """Non-overlapping reference rows in any order, some touching, and
+    segments that start or end on row bounds or lie outside every row."""
+    refs = []
+    at = draw(st.floats(min_value=-500.0, max_value=500.0))
+    rows = st.tuples(
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=80.0)),
+        st.floats(min_value=1e-3, max_value=300.0),
+        st.floats(min_value=0.0, max_value=10.0),
+    )
+    for gap, length, iri in draw(st.lists(rows, max_size=12)):
+        begin = at + gap
+        at = begin + length
+        refs.append(ReferenceIriRecord(begin, at, iri))
+    bounds = [b for r in refs for b in (r.begin_log_m, r.end_log_m)] or [0.0]
+    ends = st.one_of(st.sampled_from(bounds), st.floats(min_value=-1500.0, max_value=4500.0))
+    pairs = draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]), max_size=12))
+    segments = [seg(min(p), max(p)) for p in pairs]
+    return draw(st.permutations(refs)), segments
+
+
+@settings(max_examples=300, deadline=None)
+@given(refs_and_segments())
+def test_join_equals_the_double_loop(case):
+    refs, segments = case
+    assert join_reference(segments, refs) == double_loop_join(segments, refs)
+    if refs:
+        # a row duplicated anywhere still overlaps
+        with pytest.raises(ValidationError, match="overlap"):
+            join_reference(segments, refs + [refs[len(refs) // 2]])
+
+
 def test_join_rejects_overlapping_references():
     refs = [ReferenceIriRecord(0.0, 100.0, 1.0), ReferenceIriRecord(90.0, 200.0, 2.0)]
     with pytest.raises(ValidationError):

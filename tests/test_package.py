@@ -601,6 +601,19 @@ def test_validate_works_on_a_read_only_package(tmp_path, monkeypatch):
     assert not (pkg_dir / MEMO_NAME).exists()
 
 
+def test_a_failed_memo_rename_leaves_no_temp_file(tmp_path, monkeypatch):
+    pkg_dir, _ = write_pkg(tmp_path)
+    (pkg_dir / MEMO_NAME).unlink()
+
+    def read_only(*args, **kwargs):
+        raise OSError(errno.EROFS, "Read-only file system")
+
+    monkeypatch.setattr(os, "replace", read_only)
+    assert validate_package(pkg_dir).valid
+    assert not (pkg_dir / MEMO_NAME).exists()
+    assert [p.name for p in pkg_dir.iterdir() if p.name.endswith(".tmp")] == []
+
+
 def test_roadsense_validate_decodes_even_with_a_fresh_memo(tmp_path, decodes, capsys):
     pkg_dir, manifest = write_pkg(tmp_path)
     assert cli.main(["validate", "--package", str(pkg_dir)]) == 0

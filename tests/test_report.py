@@ -3,9 +3,16 @@
 import hashlib
 import json
 import math
+import re
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_frames, make_gps, make_samples
 
 from roadsense.canonical import dumps_canonical
 from roadsense.config import Config
@@ -15,6 +22,8 @@ from roadsense.drivesim import default_route, default_scenario, score_detections
 from roadsense.errors import ValidationError
 from roadsense.geo import Polyline, ReferenceIriRecord, snap_to_polyline
 from roadsense.kinematics import EventKind
+from roadsense.model import FrameRef, GpsFix, SensorSample, columns_from_records
+from roadsense.packstore import create_package
 from roadsense.report import (
     AnalysisReport,
     analyze,
@@ -187,6 +196,56 @@ def test_emit_empty_report(tmp_path):
     doc = json.loads((tmp_path / "report.json").read_bytes())
     assert doc["events"] == [] and doc["segments"] == []
     assert json.loads((tmp_path / "trace.geojson").read_bytes())["features"] == []
+
+
+# values at and around the ties of two-decimal rounding, signed zeros and
+# tiny negatives, subnormals, values past the vectorized range, NaN and inf
+_coords = st.one_of(
+    st.floats(),
+    st.floats(min_value=-2000.0, max_value=2000.0),
+    st.floats(min_value=-0.01, max_value=0.0),
+    st.integers(-10**9, 10**9).map(lambda k: (k + 0.5) / 100),
+    st.integers(-10**9, 10**9).map(lambda k: k / 1000 + 0.005),
+    st.floats(min_value=1e8, max_value=1e20).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.sampled_from([
+        0.0, -0.0, -1e-300, 5e-324, -5e-324, 2.2250738585072014e-308, 0.005, -0.005,
+        99999999.995, 1e8, -1e8, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
+    ]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_coords, _coords, _coords), max_size=40))
+def test_polyline_points_equal_format(points):
+    xs, ys, zs = (list(c) for c in zip(*points)) if points else ([], [], [])
+    got = report_module._polyline_points(np.array(xs), [np.array(ys), np.array(zs)])
+    assert got == [" ".join(map("{:.2f},{:.2f}".format, xs, v)) for v in (ys, zs)]
+
+
+@pytest.mark.parametrize("column, values", [
+    ("ax", (1e308, -1e308, 0.0)),
+    ("ay", (1.5e308, -1e308, 0.0)),
+    ("az", (1e308, 1e308, 1e308)),  # the gravity mean overflows
+])
+def test_accel_svg_stays_finite_at_the_float_limit(tmp_path, column, values):
+    samples = [replace(s, **{column: v}) for s, v in zip(make_samples(3), values)]
+    pkg_dir, _ = create_package(
+        tmp_path / "lib",
+        columns_from_records(samples, SensorSample),
+        columns_from_records(make_gps(1), GpsFix),
+        columns_from_records(make_frames(1), FrameRef),
+        device_id="pixel-4a",
+        started_at_ms=1_700_000_000_000,
+        ended_at_ms=1_700_000_000_100,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        emit_report(analyze(pkg_dir), tmp_path / "out")
+    svg = (tmp_path / "out" / "accel.svg").read_text()
+    assert "nan" not in svg and "inf" not in svg
+    for points in re.findall(r'points="([^"]*)"', svg):
+        for x, y in (p.split(",") for p in points.split(" ")):
+            assert 0.0 <= float(x) <= 1000.0 and 0.0 <= float(y) <= 360.0
 
 
 # -- pinned outputs and work counts -------------------------------------------------
