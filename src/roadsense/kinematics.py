@@ -34,6 +34,7 @@ form ``package.load_package`` gives; the record types stay at the edges
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
@@ -60,6 +61,11 @@ DEFAULT_SEGMENT_LEN_M = 160.9  # 0.1 mile, matching mile-log conventions
 _GATHER_ELEMS = 1 << 16
 
 ACCEL_CHANNELS = {"x": "ax", "y": "ay", "z": "az"}
+
+# a channel whose largest magnitude is below 2**_SAFE_EXP keeps its
+# deviations, the sums the medians take of two of them and its MAD_SCALE
+# multiples (each at most four times that magnitude) below the float limit
+_SAFE_EXP = 1021
 
 
 def rms(values: Sequence[float]) -> float:
@@ -88,6 +94,15 @@ def _channel(samples: StreamColumns, axis: str) -> np.ndarray:
     if attr not in ("ax", "ay", "az"):
         raise ValueError(f"unknown axis {axis!r}; expected x, y or z")
     return samples[attr]
+
+
+def _scaled_channel(samples: StreamColumns, axis: str) -> tuple[np.ndarray, int]:
+    """One channel and 0, or, for a channel near the float limit, the
+    channel times 2**-e, which lies in (-1, 1), and e. Robust z-scores do
+    not change under a power-of-two scale, so both score the same."""
+    x = _channel(samples, axis)
+    e = math.frexp(float(np.abs(x).max()))[1] if x.size else 0
+    return (np.ldexp(x, -e), e) if e > _SAFE_EXP else (x, 0)
 
 
 def sliding_rms(
@@ -155,7 +170,9 @@ def robust_scores(
     per-window statistic.
     """
     ts = samples["t"]
-    x = _channel(samples, axis)
+    x, e = _scaled_channel(samples, axis)
+    if e:
+        scale_floor = math.ldexp(scale_floor, -e)
     n = x.size
     if n == 0:
         return np.zeros(0)
@@ -241,8 +258,12 @@ def detect_axis_spikes(
 
     excursions = []  # (t_start, t_end, axis, peak)
     for axis in ("x", "y", "z"):
+        x, e = _scaled_channel(samples, axis)
+        # a channel near the float limit is scored scaled, so that its
+        # whole-stream scale stays finite too
+        channel = StreamColumns({"t": ts, ACCEL_CHANNELS[axis]: x}) if e else samples
         scores = robust_scores(
-            samples, axis, window_ms, scale_floor=_global_scale(samples, axis)
+            channel, axis, window_ms, scale_floor=_global_scale(channel, axis)
         )
         mask = np.abs(scores) >= k
         for i, j in _runs_at_least(mask, min_run):

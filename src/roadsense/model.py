@@ -17,6 +17,11 @@ only. ``decode_jsonl_stream`` gives a list of records (``SensorSample``,
 oracle of the column decoder. Both accept and reject the same bytes,
 except that the columns also refuse an integer beyond int64.
 
+Memory stays bounded by a block: the column decoder turns the bytes into
+text one slice of whole lines at a time (about ``_SLICE_BYTES``) and holds
+at most ``_BLOCK_LINES`` parsed objects, and ``packstore.create_package``
+encodes, writes and hashes a stream ``_BLOCK_LINES`` rows at a time.
+
 The records are immutable values whose invariants are checked at
 construction, and they are the one statement of those invariants: the
 column decoder checks the same rules on whole arrays, and hands any
@@ -420,6 +425,7 @@ _FAST_TYPES = {
 }
 INT64_MAX = np.iinfo(np.int64).max
 _BLOCK_LINES = 1024  # decoded JSON objects decode_jsonl_columns holds at once
+_SLICE_BYTES = 1 << 18  # a decoded slice runs to the first newline past this many bytes
 _JSON = json.JSONDecoder()
 
 
@@ -474,9 +480,12 @@ def _fast_columns(data: bytes, record_cls) -> dict | None:
     """Columns of a stream in which every nonempty line is exactly one
     JSON object holding valid field values; None for any other stream.
 
-    Each line is parsed on its own span of the decoded text, so a line
-    that is not one complete object never passes, even when the lines
-    joined together would parse.
+    The bytes are decoded one slice of whole lines at a time, about
+    ``_SLICE_BYTES`` each, and a newline byte is never part of a multibyte
+    UTF-8 character, so a slice decodes exactly when its lines do. Each
+    line is parsed on its own span of the decoded text, so a line that is
+    not one complete object never passes, even when the lines joined
+    together would parse.
     """
     kinds = _COLUMN_KINDS[record_cls]
     blocks = []
@@ -493,24 +502,29 @@ def _fast_columns(data: bytes, record_cls) -> dict | None:
 
     scan = _JSON.raw_decode
     try:
-        text = data.decode("utf-8")
-        size = len(text)
         docs = []
-        pos = 0  # where the current line starts in text
-        while pos < size:
-            end = text.find("\n", pos)
-            if end < 0:
-                end = size
-            if end > pos:
-                d, stop = scan(text, pos)
-                if stop != end or type(d) is not dict:
-                    return None
-                docs.append(d)
-                if len(docs) == _BLOCK_LINES:
-                    if not take(docs):
+        start = 0  # where the current slice starts in data
+        while start < len(data):
+            # whole lines: up to the first newline past _SLICE_BYTES, or the end
+            cut = data.find(b"\n", start + _SLICE_BYTES) + 1 or len(data)
+            text = str(data[start:cut], "utf-8")
+            start = cut
+            size = len(text)
+            pos = 0  # where the current line starts in text
+            while pos < size:
+                end = text.find("\n", pos)
+                if end < 0:
+                    end = size
+                if end > pos:
+                    d, stop = scan(text, pos)
+                    if stop != end or type(d) is not dict:
                         return None
-                    docs = []
-            pos = end + 1
+                    docs.append(d)
+                    if len(docs) == _BLOCK_LINES:
+                        if not take(docs):
+                            return None
+                        docs = []
+                pos = end + 1
         if not take(docs):
             return None
     except (ValueError, KeyError, OverflowError, RecursionError):

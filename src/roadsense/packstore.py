@@ -28,6 +28,7 @@ holds neither re-sends nor skips a byte.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -46,6 +47,7 @@ from .model import (
     BlobEntry,
     PackageManifest,
     StreamColumns,
+    _BLOCK_LINES,
     _check_relative_path,
     _shaped_columns,
     _valid_columns,
@@ -61,7 +63,7 @@ from .package import (
     ValidationReport,
     _check_monotonic,
     load_package,
-    sha256_file,
+    sha256_file,  # noqa: F401  (looked up here by the benchmark tracer)
     validate_package,  # noqa: F401  (looked up here by callers and the benchmark tracer)
     write_memo,
 )
@@ -220,6 +222,14 @@ def read_upload_state(package_dir: str | os.PathLike) -> UploadState | None:
     return UploadState.from_doc(json.loads(path.read_text(encoding="utf-8")))
 
 
+def _encoded_blocks(cols: StreamColumns, record_cls):
+    """The JSONL bytes of *cols*, ``_BLOCK_LINES`` rows per piece; joined,
+    they are ``encode_jsonl_columns(cols, record_cls)``."""
+    for i in range(0, len(cols), _BLOCK_LINES):
+        block = StreamColumns({k: v[i : i + _BLOCK_LINES] for k, v in cols.fields.items()})
+        yield encode_jsonl_columns(block, record_cls)
+
+
 def create_package(
     root: str | os.PathLike,
     samples: StreamColumns,
@@ -242,9 +252,14 @@ def create_package(
     stream-check memo. ``extra_blobs`` maps other relative names (e.g. frame
     payloads) to raw bytes. A refusal raises ValidationError before anything
     is written; on a write failure the partial directory is removed.
+
+    Each stream is encoded ``model._BLOCK_LINES`` rows at a time, and each
+    block is written and fed to the blob's sha256 before the next is made,
+    so the memory a stream needs is bounded by one block, not by the
+    drive's length; nothing is read back to be hashed.
     """
     # the stream checks of validate_package, so that the memo written below holds
-    payloads = {}
+    payloads = {}  # blob name -> an iterable of its bytes, in pieces
     for name, cols in zip(STREAM_NAMES, (samples, gps, frames)):
         record_cls = _STREAM_TYPES[name]
         if not (_shaped_columns(cols.fields, record_cls) and _valid_columns(cols.fields, record_cls)):
@@ -253,13 +268,13 @@ def create_package(
         check = _check_monotonic(name, cols)
         if not check.ok:
             raise ValidationError(f"{name}: {check.detail}", field=name)
-        payloads[name] = encode_jsonl_columns(cols, record_cls)
+        payloads[name] = _encoded_blocks(cols, record_cls)
     for name in extra_blobs or ():
         _check_relative_path("name", name)
     clash = (RESERVED_NAMES | set(STREAM_NAMES)).intersection(extra_blobs or ())
     if clash:
         raise ValidationError(f"extra blobs may not be named {sorted(clash)}", field="name")
-    payloads.update(extra_blobs or {})
+    payloads.update((name, (data,)) for name, data in (extra_blobs or {}).items())
 
     pid = package_id or str(uuid.uuid4())
     uuid.UUID(pid)  # fail early on a malformed explicit id
@@ -269,11 +284,16 @@ def create_package(
     package_dir.mkdir(parents=True)
     try:
         blobs = []
-        for name, data in payloads.items():
+        for name, pieces in payloads.items():
             path = package_dir / name
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(data)
-            blobs.append(BlobEntry(name=name, bytes=len(data), sha256=sha256_file(path)))
+            digest, size = hashlib.sha256(), 0
+            with open(path, "wb") as f:
+                for piece in pieces:
+                    f.write(piece)
+                    digest.update(piece)
+                    size += len(piece)
+            blobs.append(BlobEntry(name=name, bytes=size, sha256=digest.hexdigest()))
         manifest = PackageManifest(
             package_id=pid,
             device_id=device_id,

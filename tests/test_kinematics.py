@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadsense import kinematics
+from roadsense import drivesim, kinematics
 from roadsense.errors import ValidationError
 from roadsense.kinematics import (
     EventKind,
@@ -134,6 +134,15 @@ def test_scores_match_formula_on_noise():
     med = np.median(w)
     mad = np.median(np.abs(w - med))
     assert scores[i] == pytest.approx((az[i] - med) / (1.4826 * mad), rel=1e-9)
+
+
+def test_ordinary_channels_are_not_rescaled():
+    sim = drivesim.generate_drive(drivesim.default_scenario(7))
+    loud = samples_from(az=[1e300, -1e300, 0.0, 2.0**1021 * (1 - 2**-53)])
+    for samples in (sim.samples, loud):
+        for axis in "xyz":
+            x, e = kinematics._scaled_channel(samples, axis)
+            assert e == 0 and x is kinematics._channel(samples, axis)
 
 
 def oracle_scores(ts, x, window_ms, scale_floor):

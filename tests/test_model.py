@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import uuid
 from types import SimpleNamespace
 from unittest import mock
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadsense import model
+from roadsense import drivesim, model
 from roadsense.errors import ParseError, UnsupportedVersionError, ValidationError
 from roadsense.model import (
     BlobEntry,
@@ -494,3 +495,117 @@ def test_an_integer_beyond_int64_is_a_validation_error_naming_the_line(cls, line
     assert len(decode_jsonl_stream(raw, cls, "s.jsonl")) == 2  # records take any int
     with pytest.raises(ValidationError, match="s.jsonl: .* beyond the int64 range at line 3"):
         decode_jsonl_columns(raw, cls, "s.jsonl")
+
+
+# -- the column decoder's slices ----------------------------------------------------
+
+SLICE = model._SLICE_BYTES
+
+
+def frame_line(j: int, file: str) -> bytes:
+    return json.dumps({"t": j, "index": j, "file": file}, ensure_ascii=False).encode() + b"\n"
+
+
+def frame_lines(total: int, first: int = 0) -> list[bytes]:
+    """LF-terminated frame lines numbered from *first* whose bytes add up
+    to exactly *total* (at least 64): the last one's file name pads it."""
+    lines, size, j = [], 0, first
+    while total - size >= 128:
+        lines.append(frame_line(j, f"frames/{j:06d}.jpg"))
+        size += len(lines[-1])
+        j += 1
+    pad = total - size - len(frame_line(j, "f.jpg"))
+    lines.append(frame_line(j, "f" + "a" * pad + ".jpg"))
+    return lines
+
+
+def assert_decodes_without_fallback(raw: bytes):
+    records = decode_jsonl_stream(raw, FrameRef, "frames.jsonl")
+    with mock.patch.object(model, "decode_jsonl_stream", side_effect=AssertionError("fell back")):
+        cols = decode_jsonl_columns(raw, FrameRef, "frames.jsonl")
+    assert_columns_equal(cols, oracle_columns(records, FrameRef))
+    return records
+
+
+@pytest.mark.parametrize("at", [0, 100, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE])
+def test_a_line_longer_than_a_slice(at):
+    head = frame_lines(at, 1) if at else []
+    long = frame_line(0, "frames/" + "x" * (2 * SLICE) + ".jpg")
+    raw = b"".join(head + [long] + frame_lines(SLICE + 500, len(head) + 1))
+    records = assert_decodes_without_fallback(raw)
+    assert len(records[len(head)].file) == 2 * SLICE + 11
+
+
+@pytest.mark.parametrize("char", ["é", "€", "𝄞"])
+def test_a_multibyte_file_name_straddling_a_slice_boundary(char):
+    wide = char.encode()
+    for k in range(1, len(wide)):  # the slice boundary falls k bytes into the character
+        line = frame_line(10_000, f"frames/{char}.jpg")
+        lead = line.index(wide)
+        raw = b"".join(frame_lines(SLICE - lead - k) + [line] + frame_lines(3000, 10_001))
+        assert raw[SLICE - k : SLICE - k + len(wide)] == wide
+        records = assert_decodes_without_fallback(raw)
+        assert f"frames/{char}.jpg" in [r.file for r in records]
+
+
+def test_no_trailing_newline():
+    assert_decodes_without_fallback(b"".join(frame_lines(2 * SLICE + 999))[:-1])
+    # the last line is longer than a slice
+    assert_decodes_without_fallback(b"".join(frame_lines(SLICE)) + frame_line(1, "x" * 2 * SLICE)[:-1])
+    # the stream's last newline sits exactly a slice in
+    assert_decodes_without_fallback(b"".join(frame_lines(SLICE + 1)) + frame_line(10**6, "f.jpg")[:-1])
+
+
+def test_blank_lines_around_slice_boundaries():
+    raw = b"\n\n" + b"".join(frame_lines(SLICE - 5)) + b"\n" * 8 + b"".join(frame_lines(SLICE, 10**6))
+    raw += b"\n" * (SLICE + 3) + b"".join(frame_lines(900, 2 * 10**6)) + b"\n\n"
+    records = assert_decodes_without_fallback(raw)
+    assert len(records) == raw.count(b"{")
+
+
+@pytest.mark.parametrize("bad", [
+    frame_line(7, "frames/a.jpg").replace(b"a.jpg", b"a\xff.jpg"),  # invalid UTF-8
+    frame_line(7, "frames/\xe9.jpg").replace(b"\xc3\xa9", b"\xc3"),  # a truncated character
+    b'{"t":7,"index":7,"fi\n',  # broken JSON
+    b'{"t":7,"index":7,"file":"a.jpg"} {}\n',  # two objects on one line
+])
+def test_an_error_in_a_later_slice_is_the_record_decoders(bad):
+    lines = frame_lines(2 * SLICE + 333) + [bad] + frame_lines(4000, 10**6)
+    raw = b"".join(lines)
+    want = outcome(lambda: decode_jsonl_stream(raw, FrameRef, "frames.jsonl"))
+    got = outcome(lambda: decode_jsonl_columns(raw, FrameRef, "frames.jsonl"))
+    assert got == want
+    start = raw.index(bad)
+    lineno = raw[:start].count(b"\n") + 1
+    assert got[:3] == ("raised", ParseError, f"frames.jsonl: bad JSONL at line {lineno}")
+    assert start <= got[3] <= start + len(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_any_slice_size_decodes_like_the_record_decoder(data):
+    kind = data.draw(st.sampled_from([None, *sorted(LINE_MUTATIONS)]))
+    cls, docs = data.draw(stream_docs(min_size=1, classes=LINE_MUTATIONS[kind][0] if kind else ALL))
+    lines = render(docs, data.draw)
+    if kind:
+        at = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line]))
+        lines[at] = LINE_MUTATIONS[kind][1](json.loads(lines[at]), cls, data.draw)
+    raw = b"\n".join(lines) + data.draw(st.sampled_from([b"", b"\n"]))
+    with mock.patch.object(model, "_SLICE_BYTES", data.draw(st.sampled_from([1, 2, 16, 64]))):
+        assert_same_outcome(raw, cls, _STREAM_NAME[cls])
+
+
+def test_decoding_a_long_stream_holds_slices_not_the_stream():
+    samples = drivesim.generate_drive(drivesim.default_scenario(5, duration_s=1200.0)).samples
+    raw = encode_jsonl_columns(samples, SensorSample)
+    # a first line longer than a slice must not take the rest of the stream with it
+    raw = raw.replace(b",", b"," + b" " * (SLICE + 1000), 1)
+    tracemalloc.start()
+    try:
+        cols = decode_jsonl_columns(raw, SensorSample, "sensors.jsonl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(v.nbytes for v in cols.fields.values())
+    assert peak - columns < len(raw) / 2
+    assert_columns_equal(cols, samples.fields)

@@ -1,15 +1,17 @@
 """Upload state machine, sidecar persistence, crash recovery, resumable uploads."""
 
+import hashlib
 import math
+import tracemalloc
 from itertools import product
 
 import pytest
 from conftest import make_frames, make_gps, make_samples, resign_manifest
 from fakes import DroppyService, FakeSyncService, Killed, KillSwitch
 
-from roadsense import model, package, packstore
+from roadsense import drivesim, model, package, packstore
 from roadsense.errors import ParseError, StateMachineError
-from roadsense.model import FrameRef, GpsFix, SensorSample, columns_from_records
+from roadsense.model import FrameRef, GpsFix, SensorSample, columns_from_records, encode_jsonl_columns
 from roadsense.packstore import (
     ServerRejected,
     Uploader,
@@ -133,6 +135,52 @@ def build_package(root, **kw):
     return create_package(root, columns_from_records(make_samples(6), SensorSample),
                           columns_from_records(make_gps(2), GpsFix),
                           columns_from_records(make_frames(2), FrameRef), **kw)
+
+
+B = model._BLOCK_LINES
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 17])
+def test_streams_written_in_blocks_equal_one_shot_encoding(tmp_path, n):
+    streams = {
+        package.SENSORS_NAME: columns_from_records(make_samples(n), SensorSample),
+        package.GPS_NAME: columns_from_records(make_gps(n), GpsFix),
+        package.FRAMES_NAME: columns_from_records(make_frames(n), FrameRef),
+    }
+    extra = {"frames/000000.jpg": bytes(range(256)) * 3}
+    pkg_dir, manifest = create_package(
+        tmp_path / "lib", *streams.values(), device_id="pixel-6",
+        started_at_ms=0, ended_at_ms=1, extra_blobs=extra,
+    )
+    for name, cols in streams.items():
+        want = encode_jsonl_columns(cols, package._STREAM_TYPES[name])
+        assert (pkg_dir / name).read_bytes() == want, name
+    assert [b.name for b in manifest.blobs] == [*streams, *extra]
+    for blob in manifest.blobs:
+        data = (pkg_dir / blob.name).read_bytes()
+        assert (blob.bytes, blob.sha256) == (len(data), hashlib.sha256(data).hexdigest())
+    assert package.validate_package(pkg_dir).valid
+
+
+def create_peak(root, duration_s: float) -> tuple[int, int]:
+    """(tracemalloc peak of create_package, sensors stream bytes) for one
+    simulated drive; the drive is generated before tracing starts."""
+    sim = drivesim.generate_drive(drivesim.default_scenario(5, duration_s=duration_s))
+    tracemalloc.start()
+    try:
+        pkg_dir, _ = create_package(root, sim.samples, sim.gps, sim.frames, device_id="pixel-6",
+                                    started_at_ms=0, ended_at_ms=int(duration_s * 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, (pkg_dir / package.SENSORS_NAME).stat().st_size
+
+
+def test_create_package_memory_does_not_grow_with_the_drive(tmp_path):
+    short_peak, _ = create_peak(tmp_path / "short", 300.0)
+    long_peak, sensors_bytes = create_peak(tmp_path / "long", 1200.0)
+    assert long_peak < sensors_bytes / 2
+    assert long_peak <= 1.5 * short_peak
 
 
 def test_recover_flips_in_progress_to_interrupted(tmp_path):

@@ -21,7 +21,7 @@ from roadsense import report as report_module
 from roadsense.drivesim import default_route, default_scenario, score_detections, write_package
 from roadsense.errors import ValidationError
 from roadsense.geo import Polyline, ReferenceIriRecord, snap_to_polyline
-from roadsense.kinematics import EventKind
+from roadsense.kinematics import EventKind, detect_axis_spikes, robust_scores
 from roadsense.model import FrameRef, GpsFix, SensorSample, columns_from_records
 from roadsense.packstore import create_package
 from roadsense.report import (
@@ -246,6 +246,40 @@ def test_accel_svg_stays_finite_at_the_float_limit(tmp_path, column, values):
     for points in re.findall(r'points="([^"]*)"', svg):
         for x, y in (p.split(",") for p in points.split(" ")):
             assert 0.0 <= float(x) <= 1000.0 and 0.0 <= float(y) <= 360.0
+
+
+MAX = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("column, values, want", [
+    ("ay", (MAX, -MAX, 0.0), (1 / 1.4826, -1 / 1.4826, 0.0)),
+    ("az", (-MAX, 2.0**1021, 0.0), (-MAX / 2.0**1021 / 1.4826, 1 / 1.4826, 0.0)),
+    ("ay", (MAX, MAX, -MAX), (0.0, 0.0, -math.inf)),  # MAD 0: a clean impulse
+])
+def test_spike_scores_at_the_float_limit_are_the_scaled_channels(tmp_path, column, values, want):
+    samples = [replace(s, **{column: v}) for s, v in zip(make_samples(3), values)]
+    pkg_dir, _ = create_package(
+        tmp_path / "lib",
+        columns_from_records(samples, SensorSample),
+        columns_from_records(make_gps(1), GpsFix),
+        columns_from_records(make_frames(1), FrameRef),
+        device_id="pixel-4a",
+        started_at_ms=1_700_000_000_000,
+        ended_at_ms=1_700_000_000_100,
+    )
+    axis = column[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cols = analyze(pkg_dir).samples
+        # robust z-scores do not change under a power-of-two scale
+        scaled = model.StreamColumns({**cols.fields, column: np.ldexp(cols[column], -1024)})
+        scores = robust_scores(cols, axis)
+        assert scores == pytest.approx(want, rel=1e-12)
+        assert np.array_equal(scores, robust_scores(scaled, axis))
+        floored = robust_scores(cols, axis, scale_floor=MAX)
+        assert np.isfinite(floored).all()
+        assert np.array_equal(floored, robust_scores(scaled, axis, scale_floor=np.ldexp(MAX, -1024)))
+        assert detect_axis_spikes(cols) == detect_axis_spikes(scaled)
 
 
 # -- pinned outputs and work counts -------------------------------------------------
