@@ -23,9 +23,24 @@ MAD is read the same way off the sorted ``|window - median|``. This is
 exactly what ``np.median`` returns, since it takes the same order
 statistics and ``np.mean`` of them; ``np.median`` only partitions a
 second time to look for NaN, and the channels are validated finite, so
-the sort gives the same values at about half the cost. A regular sample
-grid has only a handful of distinct widths, so a whole stream costs a
-few vectorized sorts instead of two medians per sample.
+the sort gives the same values at about half the cost.
+
+Given the threshold k, as ``detect_axis_spikes`` gives it,
+``robust_scores`` sorts only the windows of samples that can reach it.
+The scale is max(1.4826 * MAD, floor), so |score| >= k needs |x - m| >=
+k * floor, m the window median. With mu and sigma the window's mean and
+population standard deviation, |mu - m| <= E|X - m| <= E|X - mu| <=
+sigma (m minimizes E|X - c|, also as an even window's midpoint), so
+|x - m| <= |x - mu| + sigma; prefix sums of y, the channel less its
+median, and of y**2 give every mu and sigma in O(n). A sample is scored when
+that bound plus a rounding margin reaches k * floor, and every sample
+when floor is 0. The margin overstates each rounding at least twofold:
+with eps = 8 (n + 8) 2**-53, dm = eps (sum|y| + max|y|) bounds a window
+mean's error and dv = eps (2 sum y**2 + r**2) + 2 dm r, r = max|y| + dm,
+a variance's; eps (|median| + 2 max|y|) covers the centering and an even
+window's midpoint, n 2**-1060 underflow, and a relative 2**-40 the
+rounding of the test and of the score. An overflow makes the bound NaN,
+which is scored.
 
 Every function here takes the samples as decoded ``StreamColumns``, the
 form ``package.load_package`` gives; the record types stay at the edges
@@ -37,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -157,51 +172,73 @@ class SpikeEvent:
             raise ValidationError("axes must be nonempty", field="axes")
 
 
+class _WindowPlan(NamedTuple):
+    """Sample i's window is rows [lo[i], hi[i]); ``groups`` pairs each
+    window width with the ascending rows whose windows have it."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    groups: tuple
+
+
+def _window_plan(ts: np.ndarray, window_ms: int) -> _WindowPlan:
+    """The centered windows of width window_ms of a nonempty stream."""
+    half = window_ms / 2.0
+    lo = np.searchsorted(ts, ts - half, side="left")
+    hi = np.searchsorted(ts, ts + half, side="right")
+    width = hi - lo
+    order = np.argsort(width, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(width[order])) + 1)
+    return _WindowPlan(lo, hi, tuple((int(width[g[0]]), g) for g in groups))
+
+
 def robust_scores(
     samples: StreamColumns,
     axis: str,
     window_ms: int = DEFAULT_WINDOW_MS,
     scale_floor: float = 0.0,
+    *,
+    k: Optional[float] = None,
+    plan: Optional[_WindowPlan] = None,
 ) -> np.ndarray:
     """Per-sample robust z-score of one channel against its centered
     rolling window of width window_ms.
 
     ``scale_floor`` bounds the denominator from below; 0 keeps the pure
-    per-window statistic.
+    per-window statistic. With ``k``, only the samples whose score can
+    reach k in magnitude are scored, and the others read NaN (see the
+    module docstring). ``plan``, from ``_window_plan(samples["t"],
+    window_ms)``, lets a caller find the windows once for several channels.
     """
-    ts = samples["t"]
     x, e = _scaled_channel(samples, axis)
     if e:
         scale_floor = math.ldexp(scale_floor, -e)
     n = x.size
     if n == 0:
         return np.zeros(0)
-    half = window_ms / 2.0
-    lo = np.searchsorted(ts, ts - half, side="left")
-    hi = np.searchsorted(ts, ts + half, side="right")
-    width = hi - lo
-    med = np.empty(n)
-    mad = np.empty(n)
-    for w in np.unique(width):
-        rows = np.flatnonzero(width == w)
+    if plan is None:
+        plan = _window_plan(samples["t"], window_ms)
+    keep = None if k is None else _can_spike(x, scale_floor, k, plan)
+    scores = np.full(n, np.nan)
+    for w, group in plan.groups:
+        if keep is not None:
+            group = group[keep[group]]
         offsets = np.arange(w)
         # bound each gathered matrix to about _GATHER_ELEMS values
-        step = max(1, _GATHER_ELEMS // int(w))
-        for r in range(0, rows.size, step):
-            block = rows[r : r + step]
-            win = x[lo[block, None] + offsets]
+        step = max(1, _GATHER_ELEMS // w)
+        for r in range(0, group.size, step):
+            block = group[r : r + step]
+            win = x[plan.lo[block, None] + offsets]
             win.sort(axis=1)
             m = _sorted_middle(win)
-            med[block] = m
             spread = np.abs(win - m[:, None])
             spread.sort(axis=1)
-            mad[block] = _sorted_middle(spread)
-    scale = np.maximum(MAD_SCALE * mad, scale_floor)
-    dev = x - med
-    flat = scale == 0.0
-    scores = np.where(flat, 0.0, dev / np.where(flat, 1.0, scale))
-    impulse = flat & (dev != 0.0)
-    scores[impulse] = np.copysign(np.inf, dev[impulse])
+            scale = np.maximum(MAD_SCALE * _sorted_middle(spread), scale_floor)
+            dev = x[block] - m
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                # dev / 0 is an impulse's inf, as is a quotient past the
+                # float limit; 0 / 0, a constant window's NaN, scores 0
+                scores[block] = np.where((scale == 0.0) & (dev == 0.0), 0.0, dev / scale)
     return scores
 
 
@@ -213,12 +250,37 @@ def _sorted_middle(rows: np.ndarray) -> np.ndarray:
     return (rows[:, half - 1] + rows[:, half]) / 2.0
 
 
-def _global_scale(samples: StreamColumns, axis: str) -> float:
-    """Whole-stream robust scale of one channel (MAD about the median)."""
-    x = _channel(samples, axis)
-    if x.size == 0:
-        return 0.0
-    return float(MAD_SCALE * np.median(np.abs(x - np.median(x))))
+def _median(v: np.ndarray) -> float:
+    """``np.median`` of a nonempty finite array from one partition, about a
+    tenth of its cost: the lower middle of an even size is the largest
+    value below the upper one."""
+    half = v.size // 2
+    part = np.partition(v, half)
+    if v.size % 2:
+        return float(part[half])
+    return (float(part[:half].max()) + float(part[half])) / 2.0
+
+
+def _can_spike(x: np.ndarray, floor: float, k: float, plan: _WindowPlan) -> np.ndarray:
+    """Mask of the rows of channel *x* whose robust z-score against a scale
+    of at least *floor* can reach k: |x - mean| + sigma of the window, plus
+    a rounding margin, reaches k * floor (see the module docstring)."""
+    n = x.size
+    if not (floor > 0.0 and k < math.inf):  # no bound, or only infinite scores reach k
+        return np.ones(n, dtype=bool)
+    center = _median(x)
+    y = x - center
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads NaN: a candidate
+        s1 = np.concatenate(([0.0], np.cumsum(y)))
+        s2 = np.concatenate(([0.0], np.cumsum(y * y)))
+        w = plan.hi - plan.lo
+        mean = (s1[plan.hi] - s1[plan.lo]) / w
+        sigma = np.sqrt(np.maximum((s2[plan.hi] - s2[plan.lo]) / w - mean * mean, 0.0))
+        eps, big = (n + 8) * 2.0**-50, float(np.abs(y).max())
+        dm = eps * (float(np.abs(y).sum()) + big)
+        dv = eps * (2.0 * float(s2[-1]) + (big + dm) * (big + dm)) + 2.0 * dm * (big + dm)
+        margin = dm + math.sqrt(dv + n * 2.0**-1060) + eps * (abs(center) + 2.0 * big)
+        return ~(np.abs(y - mean) + sigma < k * floor * (1.0 - 2.0**-40) - margin)
 
 
 def _runs_at_least(mask: np.ndarray, min_run: int) -> list[tuple[int, int]]:
@@ -255,6 +317,7 @@ def detect_axis_spikes(
     if len(samples) == 0:
         return []
     ts = samples["t"]
+    plan = _window_plan(ts, window_ms)
 
     excursions = []  # (t_start, t_end, axis, peak)
     for axis in ("x", "y", "z"):
@@ -262,9 +325,8 @@ def detect_axis_spikes(
         # a channel near the float limit is scored scaled, so that its
         # whole-stream scale stays finite too
         channel = StreamColumns({"t": ts, ACCEL_CHANNELS[axis]: x}) if e else samples
-        scores = robust_scores(
-            channel, axis, window_ms, scale_floor=_global_scale(channel, axis)
-        )
+        floor = MAD_SCALE * _median(np.abs(x - _median(x)))
+        scores = robust_scores(channel, axis, window_ms, scale_floor=floor, k=k, plan=plan)
         mask = np.abs(scores) >= k
         for i, j in _runs_at_least(mask, min_run):
             peak = float(np.max(np.abs(scores[i : j + 1])))

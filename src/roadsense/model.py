@@ -488,16 +488,24 @@ def _fast_columns(data: bytes, record_cls) -> dict | None:
     together would parse.
     """
     kinds = _COLUMN_KINDS[record_cls]
-    blocks = []
+    # each block goes straight into its rows of the columns, which have a
+    # row per line and are trimmed once at the end: none is held twice
+    lines = data.count(b"\n") + 1
+    cols = {key: [None] * lines if isinstance(e, list) else np.empty(lines, e.dtype)
+            for key, e in columns_from_records((), record_cls).fields.items()}
+    used = 0
 
     def take(docs: list) -> bool:
+        nonlocal used
         block = {}
         for name, kind in kinds:
             values = [d.get(name) for d in docs] if kind == "optional" else [d[name] for d in docs]
             if not set(map(type, values)) <= _FAST_TYPES[kind]:
                 return False
             _put_column(block, name, kind, values)
-        blocks.append(block)
+        for key, part in block.items():
+            cols[key][used : used + len(docs)] = part
+        used += len(docs)
         return True
 
     scan = _JSON.raw_decode
@@ -531,10 +539,11 @@ def _fast_columns(data: bytes, record_cls) -> dict | None:
         # UnicodeDecodeError and JSONDecodeError are ValueErrors
         return None
 
-    cols = {}
-    for key, first in blocks[0].items():
-        parts = [block[key] for block in blocks]
-        cols[key] = [v for p in parts for v in p] if isinstance(first, list) else np.concatenate(parts)
+    for column in cols.values():
+        if isinstance(column, list):
+            del column[used:]
+        else:
+            column.resize(used, refcheck=False)  # in place; nothing else refers to it
     return cols if _valid_columns(cols, record_cls) else None
 
 

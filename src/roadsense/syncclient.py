@@ -16,7 +16,8 @@ its line, ``Host``, ``Accept-Encoding: identity``, ``Content-Length``
 over ``INLINE_BODY_BYTES`` follows the head in a second ``sendall`` instead
 of being copied onto it. The reply's status line is read here and its
 header lines by ``syncd.read_fields``, the reader the service uses for
-requests; the body is read by ``Content-Length``, is empty for HEAD and
+requests; the body is read by ``Content-Length``, which must be ASCII
+digits (``syncd.parse_digits``), is empty for HEAD and
 204 replies, and runs to EOF when no length is given. A ``Connection:
 close`` reply, or any socket or parse failure, drops the socket, and the
 next request opens a new one. ``EventStream`` opens its subscription
@@ -35,7 +36,7 @@ import urllib.parse
 from .errors import NetworkError
 from .model import PackageManifest, serialize_manifest
 from .packstore import OffsetMismatch, ServerRejected
-from .syncd import MAX_LINE_BYTES, OFFSET_HEADER, HeadError, read_fields
+from .syncd import MAX_LINE_BYTES, OFFSET_HEADER, HeadError, parse_digits, read_fields
 
 INLINE_BODY_BYTES = 64 * 1024  # larger bodies are not copied onto the head
 
@@ -152,7 +153,9 @@ class HttpTransport:
             if method == "HEAD" or status in (204, 304) or status < 200:
                 data = b""
             elif "content-length" in fields:
-                n = int(fields["content-length"])
+                n = parse_digits(fields["content-length"])
+                if n < 0:
+                    raise NetworkError(f"bad Content-Length {fields['content-length']!r}")
                 data = self._rfile.read(n)
                 if len(data) != n:
                     raise NetworkError(f"reply body ended after {len(data)} of {n} bytes")

@@ -39,6 +39,9 @@ header rules:
   431 "Too many headers";
 - names are matched without regard to case, and the first occurrence of a
   name wins, as ``HTTPMessage.get`` does; values lose surrounding blanks;
+- differing ``Content-Length`` values get 400 and the connection ends (RFC
+  9112 section 6.3), and ``Content-Length`` and ``Upload-Offset`` are
+  ASCII digits alone, not what ``int()`` takes (a sign, ``_``, blanks);
 - an obs-fold continuation line (RFC 9112 section 5.2), a line without a
   colon and a name that is not a token get 400 "Bad header line", and the
   connection ends (the stdlib dropped every header after such a line);
@@ -436,9 +439,20 @@ def read_fields(rfile) -> dict[str, str]:
         if not colon or not _FIELD_NAME.fullmatch(name):
             raise HeadError(400, "Bad header line", f"bad header line {line[:64]!r}")
         key = name.decode("ascii").lower()
+        value = value.strip(b" \t\r\n").decode("iso-8859-1")
         if key not in fields:
-            fields[key] = value.strip(b" \t\r\n").decode("iso-8859-1")
+            fields[key] = value
+        elif key == "content-length" and value != fields[key]:
+            raise HeadError(400, "Bad Content-Length", f"{fields[key]!r} and {value!r} differ")
     raise HeadError(431, "Too many headers", f"got more than {MAX_HEAD_LINES} headers")
+
+
+def parse_digits(text: str) -> int:
+    """The value of a field that is 1*DIGIT (RFC 9110), or -1 for any other text."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else -1
+    except ValueError:  # more digits than int() converts
+        return -1
 
 
 def _parse_int(text: str, name: str) -> int:
@@ -514,6 +528,13 @@ def _make_handler(registry: Registry, hub: EventHub, stopping: threading.Event, 
         def log_message(self, fmt, *args):
             if log.isEnabledFor(logging.DEBUG):
                 log.debug("%s %s", self.address_string(), fmt % args)
+
+        def handle(self):
+            try:
+                super().handle()
+            except (BrokenPipeError, ConnectionResetError) as e:
+                # the peer left before its reply, often a refusal, was written
+                log.debug("%s left: %s", self.address_string(), e)
 
         def _refuse(self, code: int, message: str, explain: str | None = None) -> bool:
             # send_error writes no status line while request_version reads HTTP/0.9
@@ -600,10 +621,7 @@ def _make_handler(registry: Registry, hub: EventHub, stopping: threading.Event, 
             length = self.headers.get("content-length")
             if length is None:
                 raise RequestError(411, "length_required")
-            try:
-                n = int(length)
-            except ValueError:
-                n = -1
+            n = parse_digits(length)
             if n < 0:
                 # the body's extent is unknown, so the connection cannot be reused
                 raise RequestError(400, "Content-Length must be a nonnegative integer", close=True)
@@ -661,7 +679,9 @@ def _make_handler(registry: Registry, hub: EventHub, stopping: threading.Event, 
             offset_header = self.headers.get(_OFFSET_FIELD)
             if offset_header is None:
                 raise RequestError(400, f"missing {OFFSET_HEADER} header")
-            offset = _parse_int(offset_header, OFFSET_HEADER)
+            offset = parse_digits(offset_header)
+            if offset < 0:
+                raise RequestError(400, f"{OFFSET_HEADER} must be an integer")
             new_offset = registry.append_chunk(package_id, name, offset, body)
             self._send_empty(204, {OFFSET_HEADER: new_offset})
 

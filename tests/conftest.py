@@ -7,10 +7,16 @@ import json
 import traceback
 
 import pytest
+from hypothesis import settings
 
 from roadsense import package
 from roadsense.model import FrameRef, GpsFix, SensorSample
 from roadsense.syncd import SyncServer
+
+# ``pytest --hypothesis-profile=thorough`` runs the properties that take
+# their example count from the profile (those whose @settings name none)
+# with 2,000 examples each
+settings.register_profile("thorough", max_examples=2000)
 
 
 def make_samples(n: int, rate_hz: int = 30, az: float = 9.81, ax: float = 0.0, ay: float = 0.0):

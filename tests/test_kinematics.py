@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from roadsense import drivesim, kinematics
 from roadsense.errors import ValidationError
 from roadsense.kinematics import (
+    DEFAULT_SPIKE_K,
     EventKind,
     SpikeEvent,
     _runs_at_least,
@@ -190,6 +191,112 @@ def test_batched_scores_equal_per_window_medians(steps, data, window_ms, floor, 
     with mock.patch.object(kinematics, "_GATHER_ELEMS", block):
         got = robust_scores(samples, "z", window_ms, scale_floor=floor)
     assert np.array_equal(got, oracle_scores(ts, np.asarray(az), window_ms, floor))
+
+
+def every_row(x, *args):
+    """A candidate filter that keeps every row: detect_axis_spikes then
+    scores every sample with robust_scores."""
+    return np.ones(x.size, dtype=bool)
+
+
+def detect_with_scores(samples, **kw):
+    """detect_axis_spikes(samples, **kw), and the scores robust_scores gave it per axis."""
+    seen = []
+    real = kinematics.robust_scores
+
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    with mock.patch.object(kinematics, "robust_scores", spy):
+        return detect_axis_spikes(samples, **kw), seen
+
+
+# stretches of one level with noise of one size, and impulses. The levels
+# include a large offset with tiny noise, where the rounding of a window's
+# sums exceeds the noise, and values near the float limit: their squares
+# overflow, or the channel is scored scaled by 2**-1022, where tiny noise
+# is subnormal
+_LEVELS = [0.0, 9.81, 1e6, -3e7, 2.0**1021 * (1 - 2.0**-53), -1.5 * 2.0**1021]
+_NOISE = [0.0, 1e-9, 0.05, 2.0]
+
+
+@st.composite
+def stretches(draw, n):
+    out = []
+    while len(out) < n:
+        level, noise = draw(st.sampled_from(_LEVELS)), draw(st.sampled_from(_NOISE))
+        for _ in range(draw(st.integers(min_value=1, max_value=n - len(out)))):
+            v = level + noise * draw(st.floats(min_value=-1.0, max_value=1.0))
+            if draw(st.integers(min_value=0, max_value=9)) == 0:
+                v += draw(st.sampled_from([3e-9, 1e-6, 0.5, 6.0, 40.0]))
+            out.append(v)
+    return out
+
+
+def imu_columns(ts, ax, ay, az):
+    return columns_from_records(
+        [SensorSample(t=int(t), ax=a, ay=b, az=c, gx=0.0, gy=0.0, gz=0.0)
+         for t, a, b, c in zip(ts, ax, ay, az)],
+        SensorSample,
+    )
+
+
+def reached_scores(samples, window_ms):
+    """Every finite nonzero |score| some sample of *samples* meets."""
+    with mock.patch.object(kinematics, "_can_spike", every_row):
+        _, full = detect_with_scores(samples, window_ms=window_ms)
+    return sorted({abs(v) for s in full for v in s if 0.0 < abs(v) < math.inf})
+
+
+def assert_pruning_is_exact(samples, window_ms, k, min_run=1):
+    """detect_axis_spikes finds what scoring every sample finds, and it
+    scores, with the same bits, every sample whose score reaches k."""
+    kw = dict(k=k, window_ms=window_ms, merge_gap_ms=0, min_run=min_run)
+    with mock.patch.object(kinematics, "_can_spike", every_row):
+        want, full = detect_with_scores(samples, **kw)
+    got, pruned = detect_with_scores(samples, **kw)
+    assert got == want
+    for p, f in zip(pruned, full):
+        scored = ~np.isnan(p)
+        assert scored[np.abs(f) >= k].all()
+        assert np.array_equal(p[scored], f[scored])
+
+
+# examples come from the active Hypothesis profile; CI runs this with the
+# "thorough" one (see conftest.py)
+@settings(deadline=None)
+@given(_steps, st.data(), st.sampled_from([1, 50, 333, 1000]), st.integers(min_value=1, max_value=2))
+def test_pruned_spikes_equal_scoring_every_sample(steps, data, window_ms, min_run):
+    ts = np.cumsum(steps) - steps[0]
+    samples = imu_columns(ts, *(data.draw(stretches(len(ts))) for _ in range(3)))
+    # a threshold some sample meets exactly puts the bound on its edge
+    k = data.draw(st.sampled_from(reached_scores(samples, window_ms) + [DEFAULT_SPIKE_K]))
+    assert_pruning_is_exact(samples, window_ms, k, min_run)
+
+
+@pytest.mark.parametrize("window_ms, ts, ax, ay, az", [
+    # a window's sums round by more than the 1e-9 floor: without the
+    # rounding margin the bound prunes samples that reach k
+    (50, [0, 33, 34], [0.0] * 3, [0.0, 3e-9, 0.0], [9.81, 0.0, 3e-9]),
+    # the median sits far from the mean: without sigma the bound prunes
+    # the samples on the mean's side
+    (100, [0, 20, 40, 60, 80, 100], [0.0, 0.0, 0.0, 4.0, 4.0, 4.0], [0.0] * 6, [0.0, 0.1, 0.0, 0.1, 9.0, 0.0]),
+])
+def test_pruning_keeps_every_sample_at_the_score_it_reaches(window_ms, ts, ax, ay, az):
+    samples = imu_columns(ts, ax, ay, az)
+    for k in reached_scores(samples, window_ms):
+        assert_pruning_is_exact(samples, window_ms, k)
+
+
+def test_pruned_spikes_on_a_long_drive():
+    sim = drivesim.generate_drive(drivesim.default_scenario(3, duration_s=1200.0))
+    with mock.patch.object(kinematics, "_can_spike", every_row):
+        want = detect_axis_spikes(sim.samples)
+    got, pruned = detect_with_scores(sim.samples)
+    assert got == want and len(got) >= 3
+    # the bound leaves few samples to score: under 10% on every axis
+    assert all(np.isnan(p).mean() > 0.9 for p in pruned)
 
 
 def oracle_runs(mask, min_run):

@@ -149,6 +149,9 @@ def test_a_kept_alive_socket_the_server_closed_gives_network_error_once(
     b"ICY 200 OK\r\nContent-Length: 0\r\n\r\n",
     b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n folded\r\n\r\n",
     b"HTTP/1.1 200 OK\r\nContent-Length: five\r\n\r\nhello",
+    b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 2\r\n\r\nhello",
+    b"HTTP/1.1 200 OK\r\nContent-Length: +5\r\n\r\nhello",
+    b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\nhello",
     b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nhello",  # then EOF
 ])
 def test_a_malformed_or_cut_reply_gives_network_error(scripted, reply):

@@ -4,7 +4,9 @@ import builtins
 import dataclasses
 import hashlib
 import http.client
+import io
 import json
+import logging
 import re
 import socket
 import statistics
@@ -615,22 +617,93 @@ def test_a_malformed_header_line_after_an_http09_request_line_gets_a_status_line
     assert reply.startswith(b"HTTP/1.1 400 Bad header line\r\n") and closed
 
 
-def test_a_duplicated_content_length_keeps_its_first_value(server):
-    manifest, payloads = wire_package()
+def put_fresh_blob(server, fields: bytes, body: bytes) -> tuple[bytes, bool, int]:
+    """PUT *body* with the header lines *fields* to a blob no byte has
+    reached yet: the reply, whether the server then closed the connection,
+    and the blob's offset after."""
+    manifest, _ = wire_package()
     with SyncClient(server.base_url) as client:
         client.create_session(manifest)
     pid = manifest.package_id
-    # with the second value the server would wait for 3 more body bytes
-    reply = reply_to_eof(
+    reply, closed = reply_and_fate(
         server,
-        f"PUT /v1/packages/{pid}/blobs/sensors.jsonl HTTP/1.1\r\n".encode()
-        + b"Host: t\r\nUpload-Offset: 0\r\nContent-Length: 2\r\nContent-Length: 5\r\n"
-        b"Connection: close\r\n\r\n"
-        + payloads["sensors.jsonl"][:2],
+        f"PUT /v1/packages/{pid}/blobs/sensors.jsonl HTTP/1.1\r\nHost: t\r\n".encode()
+        + fields + b"\r\n" + body,
+    )
+    return reply, closed, server.registry.blob_offset(pid, "sensors.jsonl")
+
+
+def test_differing_content_lengths_get_400_and_the_connection_ends(server):
+    # with the first value the last 2 body bytes would be read as a request
+    reply, closed, offset = put_fresh_blob(
+        server, b"Upload-Offset: 0\r\nContent-Length: 3\r\nContent-Length: 5\r\n", b"abcde"
+    )
+    assert reply.startswith(b"HTTP/1.1 400 Bad Content-Length\r\n") and closed
+    assert len(re.findall(rb"HTTP/1\.[01] \d{3} ", reply)) == 1
+    assert offset == 0
+
+
+def test_equal_content_lengths_frame_one_body(server):
+    reply, _, offset = put_fresh_blob(
+        server, b"Upload-Offset: 0\r\nContent-Length: 3\r\ncontent-length:  3\r\n"
+        b"Connection: close\r\n", b"abc",
     )
     assert reply.startswith(b"HTTP/1.1 204 No Content\r\n")
-    assert b"\r\nUpload-Offset: 2\r\n" in reply
-    assert server.registry.blob_offset(pid, "sensors.jsonl") == 2
+    assert offset == 3
+
+
+@pytest.mark.parametrize("length", [b"+3", b"0_3", b"\xb3", b"3 3", b"3, 3"])
+def test_a_content_length_of_anything_but_ascii_digits_is_400(server, length):
+    # int() takes the first three, and "\xb3" is a superscript three in latin-1
+    reply, closed, offset = put_fresh_blob(
+        server, b"Upload-Offset: 0\r\nContent-Length: " + length + b"\r\n", b"abc"
+    )
+    assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n") and closed
+    assert b'{"error":"Content-Length must be a nonnegative integer"}' in reply
+    assert offset == 0
+
+
+@pytest.mark.parametrize("offset_value", [b"0_0", b"+0", b"-0", b"\xb0"])
+def test_an_upload_offset_of_anything_but_ascii_digits_is_400(server, offset_value):
+    reply, _, offset = put_fresh_blob(
+        server, b"Upload-Offset: " + offset_value + b"\r\nContent-Length: 3\r\n"
+        b"Connection: close\r\n", b"abc",
+    )
+    assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+    assert b'{"error":"Upload-Offset must be an integer"}' in reply
+    assert offset == 0
+
+
+class LeftPeer:
+    """A connection whose peer sent *request* and left: reads give the
+    request, and every write fails with *error*, as on a closed socket."""
+
+    def __init__(self, request: bytes, error: type):
+        self.request, self.error = request, error
+
+    def makefile(self, mode, *args):
+        return io.BytesIO(self.request)
+
+    def sendall(self, data):
+        raise self.error("the peer is gone")
+
+    def settimeout(self, timeout):
+        pass
+
+    def setsockopt(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("error", [BrokenPipeError, ConnectionResetError])
+@pytest.mark.parametrize("request_bytes", [
+    b"PUT /v1/packages/x/blobs/y HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc",
+    b"GET /v1/packages HTTP/1.1\r\nBad Name: x\r\n\r\n",
+], ids=["refused request", "refused head"])
+def test_a_refusal_to_a_peer_that_left_is_logged(server, caplog, error, request_bytes):
+    handler = server._httpd.RequestHandlerClass
+    with caplog.at_level(logging.DEBUG, logger="roadsense.syncd"):
+        handler(LeftPeer(request_bytes, error), ("192.0.2.1", 4000), server._httpd)
+    assert "192.0.2.1 left: the peer is gone" in caplog.text
 
 
 def test_header_names_are_case_insensitive_and_values_lose_blanks(server):
